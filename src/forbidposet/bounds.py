@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .configs import ColoredPoset, require_valid
 from .lattice import binomial, sigma
@@ -40,153 +41,111 @@ def _ceil_log(base: int, x: int) -> int:
     return k
 
 
-def _validity(ok: bool, requirement: str) -> str:
-    return "ok" if ok else f"outside stated range: requires {requirement}"
+def _fork_main(n: int, s: int) -> Fraction:
+    return (1 + Fraction(2 * (s - 1), n)) * binomial(n, n // 2)
 
 
-def _kt(n: int) -> BoundResult:
-    return BoundResult(
-        Fraction(2 * binomial(n - 1, (n - 1) // 2)),
-        EXACT,
-        _validity(n >= 3, "n >= 3"),
-        "size-restricted Katona-Tarjan bound",
-    )
+def _baton_main(n: int, h: int, s: int, t: int, h_factor: int) -> Fraction:
+    return sigma(n, h - 1) + binomial(n, (n + h) // 2) * Fraction(2 * h_factor * (s + t - 2), n)
 
 
-def _fork_explicit(n: int, s: int) -> BoundResult:
-    value = binomial(n, n // 2) + Fraction(2, 3) * (s - 1) * binomial(n, n // 2 + 1) + 1
-    return BoundResult(
-        value,
-        EXACT,
-        _validity(s >= 2, "s >= 2"),
-        "size-restricted fork bound, explicit form",
-    )
+def _diamond_restricted(n: int, m: int) -> int:
+    return 3 * (_ceil_log(3, max(m - 1, 1)) + 1) * binomial(n, n // 2)
 
 
-def _fork_main(n: int, s: int) -> BoundResult:
-    value = (1 + Fraction(2 * (s - 1), n)) * binomial(n, n // 2)
-    return BoundResult(
-        value,
-        MAIN_TERM_ONLY,
-        _validity(s >= 2, "s >= 2"),
-        "size-restricted fork bound, main term",
-    )
-
-
-def _baton_main(n: int, h: int, s: int, t: int) -> BoundResult:
-    value = sigma(n, h - 1) + binomial(n, (n + h) // 2) * Fraction(2 * (s + t - 2), n)
-    return BoundResult(
-        value,
-        MAIN_TERM_ONLY,
-        _validity(h >= 3 and s >= 1 and t >= 1, "h >= 3, s >= 1, t >= 1"),
-        "size-restricted baton bound, main term",
-    )
-
-
-def _butterfly(n: int) -> BoundResult:
-    return BoundResult(
-        Fraction(sigma(n, 2)),
-        EXACT,
-        _validity(n >= 13, "n >= 13"),
-        "size-restricted butterfly bound",
-    )
-
-
-def _j(n: int) -> BoundResult:
-    return BoundResult(Fraction(sigma(n, 2)), EXACT, "ok", "size-restricted J bound")
-
-
-def _diamond_restricted(n: int, m: int) -> BoundResult:
-    ok = m >= 2
-    k_const = 3 * (_ceil_log(3, max(m - 1, 1)) + 1)
-    return BoundResult(
-        Fraction(k_const * binomial(n, n // 2)),
-        EXACT,
-        _validity(ok, "m >= 2"),
-        "size-restricted diamond bound",
-    )
-
-
-def _diamond_m4(n: int) -> BoundResult:
-    return BoundResult(
-        Fraction(sigma(n, 4)),
-        EXACT,
-        _validity(n >= 3, "n >= 3"),
-        "size-restricted diamond bound, four equal-size middles (sharp)",
-    )
-
-
-def _glu_diamond(n: int, m: int) -> BoundResult:
-    ok = n >= 2 and m >= 2
+def _glu_diamond(n: int, m: int) -> Fraction:
     t = _ceil_log(2, m + 2)
     mid = binomial(t, t // 2)
     if m <= 2 ** t - mid - 1:
-        value = Fraction(sigma(n, t))
-    else:
-        value = (Fraction(t + 1) - Fraction(2 ** t - m - 1, mid)) * binomial(n, n // 2)
-    return BoundResult(value, EXACT, _validity(ok, "n, m >= 2"), "Griggs-Li-Lu diamond bound")
+        return Fraction(sigma(n, t))
+    return (Fraction(t + 1) - Fraction(2 ** t - m - 1, mid)) * binomial(n, n // 2)
 
 
-def _dbk_fork_main(n: int, s: int) -> BoundResult:
-    value = (1 + Fraction(2 * (s - 1), n)) * binomial(n, n // 2)
-    return BoundResult(
-        value,
-        MAIN_TERM_ONLY,
-        _validity(s >= 2, "s >= 2"),
-        "De Bonis-Katona fork bound, main term",
-    )
+def _sigma2(n: int) -> int:
+    return sigma(n, 2)
 
 
-def _glu_baton_main(n: int, h: int, s: int, t: int) -> BoundResult:
-    value = sigma(n, h - 1) + binomial(n, (n + h) // 2) * Fraction(2 * h * (s + t - 2), n)
-    return BoundResult(
-        value,
-        MAIN_TERM_ONLY,
-        _validity(h >= 3 and s >= 1 and t >= 1, "h >= 3, s >= 1, t >= 1"),
-        "Griggs-Lu baton bound, main term",
-    )
+class _Bound(NamedTuple):
+    """One table row: the formula takes the parameters in ``params`` order;
+    ``requirement`` is (predicate over the same arguments, its text), or None
+    when the statement holds for every n >= 1."""
+
+    params: tuple[str, ...]
+    formula: Callable[..., Fraction | int]
+    exactness: str
+    requirement: tuple[Callable[..., bool], str] | None
+    source: str
 
 
-def _dks_butterfly(n: int) -> BoundResult:
-    return BoundResult(
-        Fraction(sigma(n, 2)), EXACT, "ok", "De Bonis-Katona-Swanepoel butterfly bound"
-    )
-
-
-def _li_j(n: int) -> BoundResult:
-    return BoundResult(Fraction(sigma(n, 2)), EXACT, "ok", "Li J bound")
-
+_S_AT_LEAST_2 = (lambda n, s: s >= 2, "s >= 2")
+_BATON_RANGE = (lambda n, h, s, t: h >= 3 and s >= 1 and t >= 1, "h >= 3, s >= 1, t >= 1")
 
 _TABLE = {
-    "kt": (_kt, ("n",)),
-    "fork_explicit": (_fork_explicit, ("n", "s")),
-    "fork_main": (_fork_main, ("n", "s")),
-    "baton_main": (_baton_main, ("n", "h", "s", "t")),
-    "butterfly": (_butterfly, ("n",)),
-    "j": (_j, ("n",)),
-    "diamond_restricted": (_diamond_restricted, ("n", "m")),
-    "diamond_m4": (_diamond_m4, ("n",)),
-    "glu_diamond": (_glu_diamond, ("n", "m")),
-    "dbk_fork_main": (_dbk_fork_main, ("n", "s")),
-    "glu_baton_main": (_glu_baton_main, ("n", "h", "s", "t")),
-    "dks_butterfly": (_dks_butterfly, ("n",)),
-    "li_j": (_li_j, ("n",)),
+    "kt": _Bound(
+        ("n",), lambda n: 2 * binomial(n - 1, (n - 1) // 2), EXACT,
+        (lambda n: n >= 3, "n >= 3"), "size-restricted Katona-Tarjan bound",
+    ),
+    "fork_explicit": _Bound(
+        ("n", "s"),
+        lambda n, s: binomial(n, n // 2) + Fraction(2, 3) * (s - 1) * binomial(n, n // 2 + 1) + 1,
+        EXACT, _S_AT_LEAST_2, "size-restricted fork bound, explicit form",
+    ),
+    "fork_main": _Bound(
+        ("n", "s"), _fork_main, MAIN_TERM_ONLY,
+        _S_AT_LEAST_2, "size-restricted fork bound, main term",
+    ),
+    "baton_main": _Bound(
+        ("n", "h", "s", "t"), lambda n, h, s, t: _baton_main(n, h, s, t, 1), MAIN_TERM_ONLY,
+        _BATON_RANGE, "size-restricted baton bound, main term",
+    ),
+    "butterfly": _Bound(
+        ("n",), _sigma2, EXACT,
+        (lambda n: n >= 13, "n >= 13"), "size-restricted butterfly bound",
+    ),
+    "j": _Bound(("n",), _sigma2, EXACT, None, "size-restricted J bound"),
+    "diamond_restricted": _Bound(
+        ("n", "m"), _diamond_restricted, EXACT,
+        (lambda n, m: m >= 2, "m >= 2"), "size-restricted diamond bound",
+    ),
+    "diamond_m4": _Bound(
+        ("n",), lambda n: sigma(n, 4), EXACT, (lambda n: n >= 3, "n >= 3"),
+        "size-restricted diamond bound, four equal-size middles (sharp)",
+    ),
+    "glu_diamond": _Bound(
+        ("n", "m"), _glu_diamond, EXACT,
+        (lambda n, m: n >= 2 and m >= 2, "n, m >= 2"), "Griggs-Li-Lu diamond bound",
+    ),
+    "dbk_fork_main": _Bound(
+        ("n", "s"), _fork_main, MAIN_TERM_ONLY,
+        _S_AT_LEAST_2, "De Bonis-Katona fork bound, main term",
+    ),
+    "glu_baton_main": _Bound(
+        ("n", "h", "s", "t"), lambda n, h, s, t: _baton_main(n, h, s, t, h), MAIN_TERM_ONLY,
+        _BATON_RANGE, "Griggs-Lu baton bound, main term",
+    ),
+    "dks_butterfly": _Bound(
+        ("n",), _sigma2, EXACT, None, "De Bonis-Katona-Swanepoel butterfly bound"
+    ),
+    "li_j": _Bound(("n",), _sigma2, EXACT, None, "Li J bound"),
 }
 
 BOUND_IDS = tuple(sorted(_TABLE))
 
 
-def bound_params(bound_id: str) -> tuple[str, ...]:
+def _row(bound_id: str) -> _Bound:
     if bound_id not in _TABLE:
         raise ValueError(f"unknown bound id {bound_id!r}; known: {', '.join(BOUND_IDS)}")
-    return _TABLE[bound_id][1]
+    return _TABLE[bound_id]
+
+
+def bound_params(bound_id: str) -> tuple[str, ...]:
+    return _row(bound_id).params
 
 
 def evaluate_bound(bound_id: str, **params: int) -> BoundResult:
     """Evaluate one closed-form bound by id; see BOUND_IDS for the table."""
-    fn, names = _TABLE.get(bound_id, (None, None))
-    if fn is None:
-        raise ValueError(f"unknown bound id {bound_id!r}; known: {', '.join(BOUND_IDS)}")
+    row = _row(bound_id)
+    names = row.params
     missing = [k for k in names if k not in params]
     extra = [k for k in params if k not in names]
     if missing or extra:
@@ -197,7 +156,13 @@ def evaluate_bound(bound_id: str, **params: int) -> BoundResult:
     args = [int(params[k]) for k in names]
     if args[0] < 1:
         raise ValueError("n must be >= 1")
-    return fn(*args)
+    value = Fraction(row.formula(*args))
+    validity = "ok"
+    if row.requirement is not None:
+        holds, text = row.requirement
+        if not holds(*args):
+            validity = f"outside stated range: requires {text}"
+    return BoundResult(value, row.exactness, validity, row.source)
 
 
 def cprime(m: int) -> Fraction:

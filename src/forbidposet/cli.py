@@ -49,30 +49,24 @@ def _rat(x) -> str:
     return str(Fraction(x))
 
 
-def _load_family(path: str) -> tuple[Family, dict]:
+def _read_input(path: str) -> tuple[str, dict]:
+    """File text plus its run-record digest."""
     with open(path, "rb") as fh:
         data = fh.read()
-    family = Family.loads(data.decode("utf-8"))
-    digest = {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
-    return family, digest
+    return data.decode("utf-8"), {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
+
+
+def _load_family(path: str) -> tuple[Family, dict]:
+    text, digest = _read_input(path)
+    return Family.loads(text), digest
 
 
 def _load_configs(spec: str) -> tuple:
     """Named id like "diamond(4)", or a path to a JSON ConfigSet file."""
     if os.path.exists(spec):
-        with open(spec, "rb") as fh:
-            data = fh.read()
-        cfg = load_config(data.decode("utf-8"))
-        return cfg, [{"path": spec, "sha256": hashlib.sha256(data).hexdigest()}]
+        text, digest = _read_input(spec)
+        return load_config(text), [digest]
     return build_named(parse_config_id(spec)), []
-
-
-def _emit(obj: dict, args, text_lines) -> None:
-    if args.format == "structured":
-        print(json.dumps(obj))
-    else:
-        for line in text_lines(obj):
-            print(line)
 
 
 def _run_record(argv, seed, inputs, wall_time) -> dict:
@@ -88,19 +82,26 @@ def _run_record(argv, seed, inputs, wall_time) -> dict:
 # -- subcommand handlers -----------------------------------------------------
 
 
-def _cmd_bound(args, parser) -> dict:
-    names = bound_params(args.id)
+def _bound_args(args, parser, bound_id, what: str, keys=("n", "m", "s", "t", "h")) -> dict:
+    """The parameters of ``bound_id`` (None: no bound) read from the --KEY
+    flags; a missing parameter or a stray flag is a usage error."""
+    names = bound_params(bound_id) if bound_id is not None else ()
     params = {}
-    for key in ("n", "m", "s", "t", "h"):
+    for key in keys:
         val = getattr(args, key)
         if key in names:
             if val is None:
-                parser.error(f"bound {args.id!r} requires --{key}")
+                parser.error(f"{what} requires --{key}")
             params[key] = val
         elif val is not None:
-            parser.error(f"bound {args.id!r} does not take --{key}")
+            parser.error(f"{what} does not take --{key}")
+    return params
+
+
+def _cmd_bound(args, parser):
+    params = _bound_args(args, parser, args.id, f"bound {args.id!r}")
     res = evaluate_bound(args.id, **params)
-    return {
+    obj = {
         "command": "bound",
         "id": args.id,
         "params": params,
@@ -109,6 +110,7 @@ def _cmd_bound(args, parser) -> dict:
         "validity": res.validity,
         "source": res.source,
     }
+    return obj, [], None
 
 
 def _bound_text(obj) -> list[str]:
@@ -119,6 +121,8 @@ def _bound_text(obj) -> list[str]:
 
 
 def _cmd_construct(args, parser):
+    """The family goes into the output as a Family: text output is its
+    to_text(), structured output its to_json_obj()."""
     inputs = []
     if args.name == "kt":
         if args.n is None:
@@ -140,10 +144,14 @@ def _cmd_construct(args, parser):
         family = complement_family(base)
     else:  # pragma: no cover - argparse choices guard this
         parser.error(f"unknown construction {args.name!r}")
-    return family, inputs
+    return {"command": "construct", "name": args.name, "family": family}, inputs, None
 
 
-def _cmd_check(args) -> tuple[dict, list]:
+def _construct_text(obj) -> list[str]:
+    return obj["family"].to_text().splitlines()
+
+
+def _cmd_check(args, parser):
     family, digest = _load_family(args.family)
     configs, cfg_inputs = _load_configs(args.config)
     mode = "induced" if args.induced else "standard"
@@ -165,7 +173,7 @@ def _cmd_check(args) -> tuple[dict, list]:
             "assignment": list(emb.assignment),
             "sets": [list(elems_of(m)) for m in emb.masks(family)],
         }
-    return obj, [digest] + cfg_inputs
+    return obj, [digest] + cfg_inputs, None
 
 
 def _check_text(obj) -> list[str]:
@@ -177,24 +185,23 @@ def _check_text(obj) -> list[str]:
     return lines
 
 
-def _cmd_search(args, parser) -> tuple[dict, list]:
+def _cmd_search(args, parser):
     if args.n > EXACT_STATUS_GUARD and not args.allow_slow:
         parser.error(
             f"exact search beyond n={EXACT_STATUS_GUARD} needs --allow-slow "
             "(status will be a lower bound only)"
         )
     configs, cfg_inputs = _load_configs(args.config)
+    what = (
+        f"theorem bound {args.theorem_bound!r}"
+        if args.theorem_bound is not None
+        else "search without --theorem-bound"
+    )
+    # --n is the search's own ground size, so only the other flags are collected
+    params = _bound_args(args, parser, args.theorem_bound, what, keys=("m", "s", "t", "h"))
     theorem_bound = None
     if args.theorem_bound is not None:
-        names = bound_params(args.theorem_bound)
-        params = {"n": args.n}
-        for key in ("m", "s", "t", "h"):
-            val = getattr(args, key)
-            if key in names:
-                if val is None:
-                    parser.error(f"theorem bound {args.theorem_bound!r} requires --{key}")
-                params[key] = val
-        theorem_bound = evaluate_bound(args.theorem_bound, **params)
+        theorem_bound = evaluate_bound(args.theorem_bound, n=args.n, **params)
         if theorem_bound.exactness != EXACT:
             parser.error(f"theorem bound {args.theorem_bound!r} is not exact")
     problem = SearchProblem(
@@ -205,7 +212,6 @@ def _cmd_search(args, parser) -> tuple[dict, list]:
         theorem_bound=theorem_bound,
         time_limit=args.time_limit,
         include_empty_and_full=not args.exclude_empty_and_full,
-        workers=args.workers,
     )
     start = time.monotonic()
     result = exact_max_family(problem)
@@ -222,7 +228,7 @@ def _cmd_search(args, parser) -> tuple[dict, list]:
         "prunes": result.prunes,
         "wall_time": wall,
     }
-    return obj, cfg_inputs
+    return obj, cfg_inputs, None
 
 
 def _search_text(obj) -> list[str]:
@@ -233,7 +239,7 @@ def _search_text(obj) -> list[str]:
     ]
 
 
-def _cmd_audit(args, parser) -> tuple[dict, list, int | None]:
+def _cmd_audit(args, parser):
     family, digest = _load_family(args.family)
     seed = None
     if args.kind == "lubell":
@@ -312,7 +318,7 @@ def _audit_text(obj) -> list[str]:
     return lines
 
 
-def _cmd_lubell(args) -> tuple[dict, list]:
+def _cmd_lubell(args, parser):
     family, digest = _load_family(args.family)
     obj = {
         "command": "lubell",
@@ -320,7 +326,23 @@ def _cmd_lubell(args) -> tuple[dict, list]:
         "size": len(family),
         "value": _rat(lubell(family)),
     }
-    return obj, [digest]
+    return obj, [digest], None
+
+
+def _lubell_text(obj) -> list[str]:
+    return [f"lubell = {obj['value']}  (n={obj['n']}, size={obj['size']})"]
+
+
+# command -> (handler, text renderer); a handler takes (args, parser) and
+# returns (output object, input digests, seed)
+_COMMANDS = {
+    "bound": (_cmd_bound, _bound_text),
+    "construct": (_cmd_construct, _construct_text),
+    "check": (_cmd_check, _check_text),
+    "search": (_cmd_search, _search_text),
+    "audit": (_cmd_audit, _audit_text),
+    "lubell": (_cmd_lubell, _lubell_text),
+}
 
 
 # -- parser ------------------------------------------------------------------
@@ -370,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--theorem-bound", default=None, help="exact bound id for early stop")
     p_search.add_argument("--exclude-empty-and-full", action="store_true")
     p_search.add_argument("--allow-slow", action="store_true")
-    p_search.add_argument("--workers", type=int, default=_default_workers())
     for key in ("m", "s", "t", "h"):
         p_search.add_argument(f"--{key}", type=int, help="parameter for --theorem-bound")
     add_format(p_search)
@@ -399,40 +420,16 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    handler, text_lines = _COMMANDS[args.command]
     start = time.monotonic()
     try:
-        if args.command == "bound":
-            obj = _cmd_bound(args, parser)
-            obj["run"] = _run_record(argv, None, [], time.monotonic() - start)
-            _emit(obj, args, _bound_text)
-        elif args.command == "construct":
-            family, inputs = _cmd_construct(args, parser)
-            if args.format == "text":
-                sys.stdout.write(f"n={family.n}\n")
-                for mask in family.members:
-                    sys.stdout.write(",".join(map(str, elems_of(mask))) + "\n" if mask else "-\n")
-            else:
-                obj = {"command": "construct", "name": args.name, "family": family.to_json_obj()}
-                obj["run"] = _run_record(argv, None, inputs, time.monotonic() - start)
-                print(json.dumps(obj))
-        elif args.command == "check":
-            obj, inputs = _cmd_check(args)
-            obj["run"] = _run_record(argv, None, inputs, time.monotonic() - start)
-            _emit(obj, args, _check_text)
-        elif args.command == "search":
-            obj, inputs = _cmd_search(args, parser)
-            obj["run"] = _run_record(argv, None, inputs, time.monotonic() - start)
-            _emit(obj, args, _search_text)
-        elif args.command == "audit":
-            obj, inputs, seed = _cmd_audit(args, parser)
-            obj["run"] = _run_record(argv, seed, inputs, time.monotonic() - start)
-            _emit(obj, args, _audit_text)
-        elif args.command == "lubell":
-            obj, inputs = _cmd_lubell(args)
-            obj["run"] = _run_record(argv, None, inputs, time.monotonic() - start)
-            _emit(obj, args, lambda o: [f"lubell = {o['value']}  (n={o['n']}, size={o['size']})"])
-        else:  # pragma: no cover
-            parser.error(f"unknown command {args.command!r}")
+        obj, inputs, seed = handler(args, parser)
+        obj["run"] = _run_record(argv, seed, inputs, time.monotonic() - start)
+        if args.format == "structured":
+            print(json.dumps(obj, default=Family.to_json_obj))
+        else:
+            for line in text_lines(obj):
+                print(line)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     except (ValueError, OSError) as exc:

@@ -73,9 +73,6 @@ class ColoredPoset:
             sizes[c - 1] += 1
         return tuple(sizes)
 
-    def predecessors(self, e: int) -> tuple[int, ...]:
-        return tuple(a for a in range(self.p) if (a, e) in self.relation)
-
     def dual(self) -> "ColoredPoset":
         """Order-dual: relation reversed, colors mirrored to stay
         order-preserving."""
@@ -282,11 +279,17 @@ def poset_from_obj(obj) -> ColoredPoset:
     for key in ("elements", "relations", "colors"):
         if key not in obj:
             raise ValueError(f"poset field {key!r} required")
-    p = int(obj["elements"])
-    pairs = [(int(a), int(b)) for a, b in obj["relations"]]
-    colors = [int(c) for c in obj["colors"]]
-    name = obj.get("name")
-    return ColoredPoset.build(p, pairs, colors, name)
+    p, pairs, colors = obj["elements"], obj["relations"], obj["colors"]
+    if type(p) is not int:
+        raise ValueError(f"poset field 'elements' must be an integer, got {p!r}")
+    if not isinstance(pairs, list) or not all(
+        isinstance(pair, list) and len(pair) == 2 and all(type(e) is int for e in pair)
+        for pair in pairs
+    ):
+        raise ValueError("poset field 'relations' must be a list of [a, b] integer pairs")
+    if not isinstance(colors, list) or any(type(c) is not int for c in colors):
+        raise ValueError(f"poset field 'colors' must be a list of integers, got {colors!r}")
+    return ColoredPoset.build(p, pairs, colors, obj.get("name"))
 
 
 def serialize_config(configs: ConfigSet) -> str:

@@ -163,7 +163,15 @@ class Family:
     def from_json_obj(cls, obj) -> "Family":
         if not isinstance(obj, dict) or "n" not in obj or "sets" not in obj:
             raise ValueError("family object must have 'n' and 'sets' fields")
-        return cls.from_sets(int(obj["n"]), obj["sets"])
+        n, sets = obj["n"], obj["sets"]
+        if type(n) is not int:
+            raise ValueError(f"family field 'n' must be an integer, got {n!r}")
+        if not isinstance(sets, list):
+            raise ValueError(f"family field 'sets' must be a list, got {sets!r}")
+        for i, s in enumerate(sets):
+            if not isinstance(s, list) or any(type(e) is not int for e in s):
+                raise ValueError(f"family field 'sets' item {i} must be a list of integers")
+        return cls.from_sets(n, sets)
 
     @classmethod
     def loads(cls, text: str) -> "Family":
@@ -231,22 +239,17 @@ def _sigma_or_zero(n: int, k: int) -> int:
 
 
 def q_value(k: int) -> Fraction:
-    """q(k) = sum of 1/C(k, i) for 1 <= i <= k-1, exactly.
-
-    Computed through the row-sum recurrence s(j) = (j+1)/(2j) * s(j-1) + 1
-    for s(j) = sum over the whole row 0..j, which keeps denominators small
-    enough to scan k up to 10^4 in seconds; q(k) = s(k) - 2.
-    """
+    """q(k) = sum of 1/C(k, i) for 1 <= i <= k-1, exactly (see q_values_upto)."""
     if k < 2:
         raise ValueError(f"q(k) requires k >= 2, got {k}")
-    s = Fraction(1)
-    for j in range(1, k + 1):
-        s = Fraction(j + 1, 2 * j) * s + 1
-    return s - 2
+    return q_values_upto(k)[k]
 
 
 def q_values_upto(kmax: int) -> dict[int, Fraction]:
-    """q(k) for all 2 <= k <= kmax in one pass of the row-sum recurrence."""
+    """q(k) for all 2 <= k <= kmax in one pass of the row-sum recurrence
+    s(j) = (j+1)/(2j) * s(j-1) + 1 for s(j) = sum of 1/C(j, i) over the whole
+    row 0..j, which keeps denominators small enough to scan k up to 10^4 in
+    seconds; q(k) = s(k) - 2."""
     if kmax < 2:
         raise ValueError("kmax must be >= 2")
     out: dict[int, Fraction] = {}

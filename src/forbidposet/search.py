@@ -10,9 +10,7 @@ bound, and root-level symmetry reduction: the orbits of a first included set
 under relabeling of the ground set are exactly the size classes, so one
 representative per cardinality suffices.
 
-Results are deterministic for fixed options.  Subtrees are explored
-sequentially; a worker count only parameterizes the documented seed/subtree
-partitioning contract and never changes the result.
+Results are deterministic for fixed options.
 """
 
 from __future__ import annotations
@@ -44,7 +42,6 @@ class SearchProblem:
     theorem_bound: BoundResult | Fraction | int | None = None
     time_limit: float | None = None
     include_empty_and_full: bool = True
-    workers: int = 1
 
     def __post_init__(self) -> None:
         GroundSet(self.n)
@@ -52,8 +49,6 @@ class SearchProblem:
             raise ValueError(f"search enumerates all 2^n subsets; limited to n <= {SEARCH_GROUND_GUARD}")
         if self.time_limit is not None and self.time_limit <= 0:
             raise ValueError("time_limit must be positive")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
 
 @dataclass(frozen=True)

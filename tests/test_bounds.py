@@ -13,7 +13,80 @@ from forbidposet import (
     middle_levels,
     sigma,
 )
-from forbidposet.bounds import EXACT, MAIN_TERM_ONLY, cprime
+from forbidposet.bounds import EXACT, MAIN_TERM_ONLY, bound_params, cprime
+
+IN_RANGE = {"n": 14, "m": 4, "s": 3, "t": 2, "h": 3}
+OUT_OF_RANGE = {"n": 4, "m": 1, "s": 1, "t": 1, "h": 3}
+_SIGMA2_N14 = ("6435", EXACT, "ok")
+_SIGMA2_N4 = ("10", EXACT, "ok")
+
+# (value, exactness, validity, source) of every bound id at IN_RANGE and
+# OUT_OF_RANGE, recorded from the per-bound evaluators this table replaced.
+GOLDEN = {
+    "baton_main": (
+        ("7722", MAIN_TERM_ONLY, "ok"),
+        ("10", MAIN_TERM_ONLY, "ok"),
+        "size-restricted baton bound, main term",
+    ),
+    "butterfly": (
+        _SIGMA2_N14,
+        ("10", EXACT, "outside stated range: requires n >= 13"),
+        "size-restricted butterfly bound",
+    ),
+    "dbk_fork_main": (
+        ("30888/7", MAIN_TERM_ONLY, "ok"),
+        ("6", MAIN_TERM_ONLY, "outside stated range: requires s >= 2"),
+        "De Bonis-Katona fork bound, main term",
+    ),
+    "diamond_m4": (
+        ("11440", EXACT, "ok"),
+        ("15", EXACT, "ok"),
+        "size-restricted diamond bound, four equal-size middles (sharp)",
+    ),
+    "diamond_restricted": (
+        ("20592", EXACT, "ok"),
+        ("18", EXACT, "outside stated range: requires m >= 2"),
+        "size-restricted diamond bound",
+    ),
+    "dks_butterfly": (_SIGMA2_N14, _SIGMA2_N4, "De Bonis-Katona-Swanepoel butterfly bound"),
+    "fork_explicit": (
+        ("7437", EXACT, "ok"),
+        ("7", EXACT, "outside stated range: requires s >= 2"),
+        "size-restricted fork bound, explicit form",
+    ),
+    "fork_main": (
+        ("30888/7", MAIN_TERM_ONLY, "ok"),
+        ("6", MAIN_TERM_ONLY, "outside stated range: requires s >= 2"),
+        "size-restricted fork bound, main term",
+    ),
+    "glu_baton_main": (
+        ("10296", MAIN_TERM_ONLY, "ok"),
+        ("10", MAIN_TERM_ONLY, "ok"),
+        "Griggs-Lu baton bound, main term",
+    ),
+    "glu_diamond": (
+        ("9438", EXACT, "ok"),
+        ("10", EXACT, "outside stated range: requires n, m >= 2"),
+        "Griggs-Li-Lu diamond bound",
+    ),
+    "j": (_SIGMA2_N14, _SIGMA2_N4, "size-restricted J bound"),
+    "kt": (("3432", EXACT, "ok"), ("6", EXACT, "ok"), "size-restricted Katona-Tarjan bound"),
+    "li_j": (_SIGMA2_N14, _SIGMA2_N4, "Li J bound"),
+}
+
+
+def test_golden_covers_every_bound_id():
+    assert set(BOUND_IDS) == set(GOLDEN)
+
+
+@pytest.mark.parametrize("bound_id", sorted(GOLDEN))
+def test_bound_table_golden(bound_id):
+    *points, source = GOLDEN[bound_id]
+    for point, (value, exactness, validity) in zip((IN_RANGE, OUT_OF_RANGE), points):
+        res = evaluate_bound(bound_id, **{k: point[k] for k in bound_params(bound_id)})
+        assert (res.value, res.exactness, res.validity, res.source) == (
+            Fraction(value), exactness, validity, source
+        )
 
 
 class TestEvaluateBound:
@@ -86,8 +159,6 @@ class TestEvaluateBound:
     def test_every_id_reports_source(self):
         for bound_id in BOUND_IDS:
             params = {"n": 8, "m": 3, "s": 2, "t": 2, "h": 3}
-            from forbidposet.bounds import bound_params
-
             res = evaluate_bound(bound_id, **{k: params[k] for k in bound_params(bound_id)})
             assert res.source and res.exactness in (EXACT, MAIN_TERM_ONLY)
 

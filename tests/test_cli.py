@@ -1,5 +1,6 @@
 import json
 
+import pytest
 
 from forbidposet import Family, kt_construction, serialize_config, build_named
 from forbidposet.cli import main
@@ -121,6 +122,24 @@ class TestCheckCommand:
         code, _, err = run_cli(capsys, "check", "--family", "/nope.txt", "--config", "kt_pair")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "option, doc",
+        [
+            ("--family", {"n": 4, "sets": 5}),
+            ("--family", {"n": None, "sets": []}),
+            ("--family", {"n": 4, "sets": [1, 2]}),
+            ("--config", {"configs": [{"elements": 3, "relations": 5, "colors": [1, 2, 2]}]}),
+        ],
+    )
+    def test_malformed_json_input_is_domain_error(self, capsys, tmp_path, option, doc):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        argv = {"--family": write_family(tmp_path, kt_construction(4)), "--config": "kt_pair"}
+        argv[option] = str(bad)
+        code, out, err = run_cli(capsys, "check", *(x for kv in argv.items() for x in kv))
+        assert code == 1 and out == ""
+        assert err.startswith("error:")
+
 
 class TestSearchCommand:
     def test_small_search(self, capsys):
@@ -159,6 +178,17 @@ class TestSearchCommand:
             "--theorem-bound", "fork_main", "--s", "2",
         )
         assert code == 2
+
+    def test_theorem_bound_rejects_unused_param(self, capsys):
+        code, _, err = run_cli(
+            capsys, "search", "--n", "3", "--config", "kt_pair", "--theorem-bound", "kt",
+            "--m", "7",
+        )
+        assert code == 2 and "does not take --m" in err
+
+    def test_bound_param_needs_theorem_bound(self, capsys):
+        code, _, err = run_cli(capsys, "search", "--n", "3", "--config", "kt_pair", "--s", "7")
+        assert code == 2 and "does not take --s" in err
 
     def test_symmetry_off(self, capsys):
         code, out, _ = run_cli(

@@ -147,12 +147,6 @@ class TestSearchProperties:
         )
         assert a.witness == b.witness
 
-    def test_workers_do_not_change_results(self):
-        base = exact_max_family(SearchProblem(n=3, configs=build_named("j_config"), workers=1))
-        multi = exact_max_family(SearchProblem(n=3, configs=build_named("j_config"), workers=4))
-        assert base.best_size == multi.best_size
-        assert base.nodes_explored == multi.nodes_explored
-
 
 class TestStatusesAndOptions:
     def test_theorem_bound_early_stop(self):
