@@ -39,8 +39,9 @@ class Embedding:
 @lru_cache(maxsize=None)
 def _plan(poset: ColoredPoset):
     """Per-poset backtracking plan: color classes, the element assignment
-    order (colors ascending, classes together), successor lists for domain
-    propagation, and the color pairs that force strictly increasing sizes."""
+    order (colors ascending, classes together) and each element's position
+    in it, successor lists for domain propagation, and the color pairs that
+    force strictly increasing sizes."""
     k = poset.num_colors
     classes: list[list[int]] = [[] for _ in range(k + 1)]
     for e, c in enumerate(poset.colors):
@@ -64,6 +65,7 @@ def _plan(poset: ColoredPoset):
         k,
         tuple(tuple(cls) for cls in classes),
         order,
+        tuple(order.index(e) for e in range(poset.p)),
         succs,
         incomparable,
         tuple(frozenset(s) for s in lower_colors),
@@ -130,7 +132,7 @@ def _search(family, poset: ColoredPoset, mode: str, pins: dict[int, int], count_
     of the unassigned elements.  The propagation is what keeps large
     single-size levels from turning into cartesian scans.
     """
-    k, classes, order, succs, incomparable, lower_colors = _plan(poset)
+    k, classes, order, pos_of, succs, incomparable, lower_colors = _plan(poset)
     p = poset.p
     members = family.members
     by_size = family.by_size
@@ -144,7 +146,6 @@ def _search(family, poset: ColoredPoset, mode: str, pins: dict[int, int], count_
     assign_idx = [-1] * p
     used: set[Mask] = set()
     chosen_size = [-1] * (k + 1)
-    pos_of = {e: i for i, e in enumerate(order)}
     count = 0
 
     def propagate(e: int, mask: Mask, domains, pos: int):

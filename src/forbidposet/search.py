@@ -4,11 +4,23 @@ Branching is depth-first over candidate sets ordered by distance of their
 cardinality from n/2 (ascending bitmask inside a tie), include branch first:
 extremal families concentrate near the middle levels, so good incumbents
 appear early.  Pruning combines the cardinality bound |current| + |viable|
-against the incumbent, incremental violation checks on every candidate, an
-optional early stop once the incumbent meets a user-supplied exact theorem
-bound, and root-level symmetry reduction: the orbits of a first included set
-under relabeling of the ground set are exactly the size classes, so one
-representative per cardinality suffices.
+against the incumbent, incremental violation checks on every candidate, and
+an optional early stop once the incumbent meets a user-supplied exact theorem
+bound.
+
+Symmetry reduction splits the first two levels of the tree into disjoint
+parts.  An embedding depends only on containment and cardinality, which
+every permutation of [n] preserves, so any permuted copy of an avoiding
+family avoids the same configurations.  Level 1 branches once per size
+class s, in candidate order, on the root [s] = {1..s}: every nonempty family
+has a first size class s in that order, and a permutation maps one of its
+sets of size s onto [s], so the root's subtree drops every set whose size
+was an earlier root.  Level 2 branches once per orbit of the root's
+stabilizer Sym([s]) x Sym([n] - [s]), keyed by (|X|, |X & [s]|): the view
+{[s]} is fixed by the stabilizer, so a set's viability is constant on its
+orbit and the first viable member represents it; each orbit's subtree drops
+the orbits handled before it and keeps the rest of its own orbit.  With
+symmetry off the search is the plain tree.
 
 Results are deterministic for fixed options.
 """
@@ -96,6 +108,8 @@ def _bound_target(theorem_bound) -> int | None:
     if isinstance(theorem_bound, BoundResult):
         if theorem_bound.exactness != EXACT:
             raise ValueError("only exact bounds can gate the search")
+        if theorem_bound.validity != "ok":
+            raise ValueError(f"theorem bound cannot gate the search: {theorem_bound.validity}")
         return floor(theorem_bound.value)
     return floor(Fraction(theorem_bound))
 
@@ -133,13 +147,19 @@ class _Searcher:
             if self.target is not None and self.best_size >= self.target:
                 raise _Stop("theorem")
 
-    def dfs(self, viable: list[Mask]) -> None:
+    def enter(self, viable: list[Mask]) -> bool:
+        """Count a node at the current view; False when it is pruned."""
         self.nodes += 1
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise _Stop("timeout")
         self.record_if_better()
         if len(self.view.members) + len(viable) <= self.best_size:
             self.prunes += 1
+            return False
+        return True
+
+    def dfs(self, viable: list[Mask]) -> None:
+        if not self.enter(viable):
             return
         c = viable[0]
         rest = viable[1:]
@@ -148,24 +168,36 @@ class _Searcher:
         self.view.pop()
         self.dfs(rest)
 
+    def branch_orbits(self, viable: list[Mask], key, descend) -> None:
+        """Include the first viable set of each key in turn; its subtree
+        keeps the rest of its own key and drops the sets of earlier keys."""
+        earlier = set()
+        for c in viable:
+            k = key(c)
+            if k in earlier:
+                continue
+            rest = [d for d in viable if d != c and key(d) not in earlier]
+            earlier.add(k)
+            self.view.push(c)
+            descend([d for d in rest if self.addable(d)])
+            self.view.pop()
+
+    def stabilizer_orbits(self, viable: list[Mask]) -> None:
+        """Level 2 under the root [s]: one branch per (|X|, |X & [s]|)."""
+        if not self.enter(viable):
+            return
+        rep = self.view.members[0]
+        self.branch_orbits(viable, lambda m: (m.bit_count(), (m & rep).bit_count()), self.dfs)
+
     def run_root(self) -> str:
         problem = self.problem
         candidates = candidate_order(problem.n, problem.include_empty_and_full)
         try:
+            viable = [d for d in candidates if self.addable(d)]
             if problem.symmetry:
-                reps = [m for m in candidates if m == (1 << m.bit_count()) - 1]
-                for rep in reps:
-                    if not self.addable(rep):
-                        continue
-                    self.view.push(rep)
-                    try:
-                        self.dfs([d for d in candidates if d != rep and self.addable(d)])
-                    finally:
-                        self.view.pop()
-            else:
-                viable = [d for d in candidates if self.addable(d)]
-                if viable:
-                    self.dfs(viable)
+                self.branch_orbits(viable, int.bit_count, self.stabilizer_orbits)
+            elif viable:
+                self.dfs(viable)
         except _Stop as stop:
             return stop.reason
         return "exhausted"

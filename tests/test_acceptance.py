@@ -31,7 +31,7 @@ from forbidposet import (
 )
 from forbidposet.audits import alpha_audit, audit_S_lemma, estimate_matches_exact, s_hypothesis_holds
 from forbidposet.lattice import q_values_upto
-from forbidposet.search import LOWER_BOUND_ONLY, PROVEN_OPTIMAL, SearchProblem
+from forbidposet.search import PROVEN_OPTIMAL, SearchProblem
 
 from conftest import brute_embedding_exists, named_roster, random_family
 
@@ -50,7 +50,7 @@ def test_criterion_1_exact_extremal_values():
         SearchProblem(n=5, configs=build_named("kt_pair"), time_limit=540.0)
     )
     assert res5.best_size == 12
-    assert res5.status in (PROVEN_OPTIMAL, LOWER_BOUND_ONLY)
+    assert res5.status == PROVEN_OPTIMAL
 
     for n, expect in ((2, 3), (3, 6), (4, 10)):
         res = exact_max_family(SearchProblem(n=n, configs=build_named("j_config")))

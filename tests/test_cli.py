@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -172,6 +176,13 @@ class TestSearchCommand:
         obj = json.loads(out)
         assert obj["best_size"] == 6 and obj["status"] == "optimal-assuming-theorem"
 
+    def test_out_of_range_theorem_bound_domain_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "search", "--n", "2", "--config", "kt_pair", "--theorem-bound", "kt"
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "requires n >= 3" in err
+
     def test_inexact_theorem_bound_usage_error(self, capsys):
         code, _, _ = run_cli(
             capsys, "search", "--n", "4", "--config", "fork(2)",
@@ -324,3 +335,16 @@ class TestReplayAndSchema:
             "--workers", "3",
         )
         assert json.loads(out1)["mean"] == json.loads(out2)["mean"]
+
+
+class TestModuleEntry:
+    def test_python_dash_m_from_checkout(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "forbidposet", "bound", "kt", "--n", "9"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["value"] == "140"

@@ -4,6 +4,8 @@ import random
 import pytest
 
 from forbidposet import (
+    ColoredPoset,
+    ConfigSet,
     Family,
     binomial,
     build_named,
@@ -129,12 +131,43 @@ class TestSearchProperties:
             assert res.best_size >= len(kt_construction(n))
 
     def test_symmetry_on_off_agree(self, roster):
-        for n in (2, 3, 4):
-            for label, cfg in roster:
-                on = exact_max_family(SearchProblem(n=n, configs=cfg, symmetry=True))
-                off = exact_max_family(SearchProblem(n=n, configs=cfg, symmetry=False))
-                assert on.best_size == off.best_size, (label, n)
-                assert on.status == off.status == PROVEN_OPTIMAL
+        for mode, include_empty_and_full in itertools.product(
+            ("standard", "induced"), (True, False)
+        ):
+            for n in (2, 3, 4):
+                for label, cfg in roster:
+                    opts = dict(
+                        n=n, configs=cfg, mode=mode, include_empty_and_full=include_empty_and_full
+                    )
+                    on = exact_max_family(SearchProblem(**opts, symmetry=True))
+                    off = exact_max_family(SearchProblem(**opts, symmetry=False))
+                    case = (label, n, mode, include_empty_and_full)
+                    assert on.best_size == off.best_size, case
+                    assert on.status == off.status == PROVEN_OPTIMAL, case
+
+    def test_stabilizer_orbits_split_by_intersection(self):
+        # one set per size, and no set above two smaller ones of different
+        # sizes: the optimum (the empty set, {1} and {2,3}) needs its 2-set
+        # disjoint from its 1-set, so under the root {1} the level-2
+        # branches must keep 2-sets meeting the root apart from the others
+        cfg = ConfigSet(
+            (ColoredPoset.build(3, [(0, 2), (1, 2)], [1, 2, 3]), ColoredPoset.build(2, [], [1, 1]))
+        )
+        want = brute_force_max(3, cfg)
+        assert want == 3
+        for symmetry in (True, False):
+            assert exact_max_family(SearchProblem(n=3, configs=cfg, symmetry=symmetry)).best_size == want
+
+    def test_symmetry_reduces_nodes(self, roster):
+        # the two symmetric levels split the tree into disjoint parts, so the
+        # reduced search must explore fewer nodes than the plain tree
+        def total_nodes(symmetry):
+            return sum(
+                exact_max_family(SearchProblem(n=4, configs=cfg, symmetry=symmetry)).nodes_explored
+                for _, cfg in roster
+            )
+
+        assert total_nodes(True) < total_nodes(False)
 
     def test_deterministic_reruns(self):
         prob = SearchProblem(n=4, configs=build_named("kt_pair"))
@@ -163,6 +196,15 @@ class TestStatusesAndOptions:
             exact_max_family(
                 SearchProblem(n=4, configs=build_named("kt_pair"), theorem_bound=bound)
             )
+
+    def test_out_of_range_theorem_bound_rejected(self):
+        # kt holds for n >= 3 only; at n=2 it reads 2, below the true maximum 3
+        bound = evaluate_bound("kt", n=2)
+        with pytest.raises(ValueError, match="requires n >= 3"):
+            exact_max_family(
+                SearchProblem(n=2, configs=build_named("kt_pair"), theorem_bound=bound)
+            )
+        assert exact_max_family(SearchProblem(n=2, configs=build_named("kt_pair"))).best_size == 3
 
     def test_timeout_keeps_best_so_far(self):
         res = exact_max_family(
