@@ -28,6 +28,7 @@ class BoundResult:
     exactness: str  # EXACT or MAIN_TERM_ONLY
     validity: str  # "ok" or the violated constraint
     source: str
+    n: int  # the ground-set size the bound was evaluated at
 
 
 def _ceil_log(base: int, x: int) -> int:
@@ -162,7 +163,7 @@ def evaluate_bound(bound_id: str, **params: int) -> BoundResult:
         holds, text = row.requirement
         if not holds(*args):
             validity = f"outside stated range: requires {text}"
-    return BoundResult(value, row.exactness, validity, row.source)
+    return BoundResult(value, row.exactness, validity, row.source, args[0])
 
 
 def cprime(m: int) -> Fraction:

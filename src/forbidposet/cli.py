@@ -6,6 +6,8 @@ as "p/q" strings (never floats) and a run record (argv, version, seed, input
 digests, wall time) attached; replaying a record reproduces byte-identical
 output apart from wall_time.  Exit codes: 0 success, 1 domain errors
 (validation, range), 2 usage errors.  Human-readable messages go to stderr.
+A reader that closes stdout early ends the run with exit code 1 and no
+message, as other Unix filters do.
 """
 
 from __future__ import annotations
@@ -430,8 +432,14 @@ def main(argv=None) -> int:
         else:
             for line in text_lines(obj):
                 print(line)
+        sys.stdout.flush()
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    except BrokenPipeError:
+        # Point stdout at devnull so the flush at interpreter exit does not
+        # fail on the closed pipe again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -5,11 +5,14 @@ related elements land on proper sub/supersets and equal colors land on sets
 of equal cardinality.  Induced mode additionally requires that containment
 between image sets only happens along poset relations.
 
-The backtracking assigns colors in ascending order (each color commits to one
-set size, so the equal-size constraint becomes a loop over at most n+1 size
-values) and elements within a color together, drawing candidates from the
-family's size index.  Elements may be pinned to fixed members for incremental
-search.
+One generator core, ``_embeddings``, does the backtracking over a plain size
+index (set size -> the members of that size).  It assigns colors in
+ascending order (each color commits to one set size, so the equal-size
+constraint becomes a loop over at most n+1 size values) and elements within
+a color together, and yields each embedding as the tuple of image masks.
+Pins fix elements to given masks, which is how incremental search asks only
+for embeddings through a newly added set.  Finding one embedding takes the
+first item; counting exhausts the generator.
 """
 
 from __future__ import annotations
@@ -103,28 +106,30 @@ def verify_embedding(family, poset: ColoredPoset, mode: str, assignment) -> bool
     return True
 
 
-def _validate_pins(family, poset: ColoredPoset, pinned) -> dict[int, int]:
-    pins = dict(pinned or {})
-    seen_idx = set()
+def _validate_pins(family, poset: ColoredPoset, pinned) -> dict[int, Mask]:
+    """Pins as element -> member mask, after checking them against the
+    family and the poset's colors."""
+    pins: dict[int, Mask] = {}
     color_size: dict[int, int] = {}
-    for e, idx in pins.items():
+    for e, idx in dict(pinned or {}).items():
         if not 0 <= e < poset.p:
             raise ValueError(f"pinned element {e} outside poset")
         if not 0 <= idx < len(family.members):
             raise ValueError(f"pinned member index {idx} outside family")
-        if idx in seen_idx:
+        mask = family.members[idx]
+        if mask in pins.values():
             raise ValueError("pinned assignment is not injective")
-        seen_idx.add(idx)
         c = poset.colors[e]
-        size = family.members[idx].bit_count()
-        if color_size.setdefault(c, size) != size:
+        if color_size.setdefault(c, mask.bit_count()) != mask.bit_count():
             raise ValueError(f"pins give color {c} two different set sizes")
+        pins[e] = mask
     return pins
 
 
-def _search(family, poset: ColoredPoset, mode: str, pins: dict[int, int], count_all: bool):
-    """Backtracking core.  Returns the first full assignment (count_all=False)
-    or the exact number of embeddings (count_all=True).
+def _embeddings(by_size, poset: ColoredPoset, mode: str, pins: dict[int, Mask]):
+    """Backtracking core: yield every embedding extending the pins, each as
+    the tuple of image masks in element order.  ``by_size`` maps a set size
+    to the family's members of that size; pinned masks must be among them.
 
     Two stages per size tuple: commit every color to one set size (respecting
     the size order forced by inter-color relations), then assign elements in
@@ -134,19 +139,14 @@ def _search(family, poset: ColoredPoset, mode: str, pins: dict[int, int], count_
     """
     k, classes, order, pos_of, succs, incomparable, lower_colors = _plan(poset)
     p = poset.p
-    members = family.members
-    by_size = family.by_size
+    colors = poset.colors
     avail_sizes = sorted(by_size)
     induced = mode == "induced"
+    forced_size = {colors[e]: mask.bit_count() for e, mask in pins.items()}
 
-    forced_size: dict[int, int] = {}
-    for e, idx in pins.items():
-        forced_size[poset.colors[e]] = members[idx].bit_count()
-
-    assign_idx = [-1] * p
+    image = [0] * p
     used: set[Mask] = set()
     chosen_size = [-1] * (k + 1)
-    count = 0
 
     def propagate(e: int, mask: Mask, domains, pos: int):
         """Filter the domains of unassigned elements against the new
@@ -170,59 +170,39 @@ def _search(family, poset: ColoredPoset, mode: str, pins: dict[int, int], count_
         return out
 
     def assign(pos: int, domains):
-        nonlocal count
         if pos == p:
-            if count_all:
-                count += 1
-                return None
-            return tuple(assign_idx)
+            yield tuple(image)
+            return
         e = order[pos]
         for mask in domains[e]:
             if mask in used:
                 continue
-            used.add(mask)
-            assign_idx[e] = family.index[mask]
             narrowed = propagate(e, mask, domains, pos)
             if narrowed is not None:
-                hit = assign(pos + 1, narrowed)
-                if hit is not None:
-                    used.discard(mask)
-                    assign_idx[e] = -1
-                    return hit
-            used.discard(mask)
-            assign_idx[e] = -1
-        return None
-
-    def initial_domains():
-        domains: list[list[Mask]] = [[]] * p
-        for e in range(p):
-            if e in pins:
-                domains[e] = [members[pins[e]]]
-            else:
-                domains[e] = by_size[chosen_size[poset.colors[e]]]
-        return domains
+                used.add(mask)
+                image[e] = mask
+                yield from assign(pos + 1, narrowed)
+                used.discard(mask)
 
     def choose_size(c: int):
         if c > k:
-            return assign(0, initial_domains())
+            domains = [
+                [pins[e]] if e in pins else by_size[chosen_size[colors[e]]] for e in range(p)
+            ]
+            yield from assign(0, domains)
+            return
         floor = max((chosen_size[c2] for c2 in lower_colors[c]), default=-1)
-        sizes = (forced_size[c],) if c in forced_size else avail_sizes
-        for size in sizes:
-            if size <= floor or size not in by_size:
-                continue
-            if len(by_size[size]) < len(classes[c]):
-                continue  # not enough distinct sets of this size
-            chosen_size[c] = size
-            hit = choose_size(c + 1)
-            chosen_size[c] = -1
-            if hit is not None:
-                return hit
-        return None
+        for size in (forced_size[c],) if c in forced_size else avail_sizes:
+            if size > floor and len(by_size.get(size, ())) >= len(classes[c]):
+                chosen_size[c] = size
+                yield from choose_size(c + 1)
 
-    result = choose_size(1)
-    if count_all:
-        return count
-    return result
+    return choose_size(1)
+
+
+def _search(by_size, poset: ColoredPoset, mode: str, pins: dict[int, Mask]):
+    """The first embedding's image masks, or None."""
+    return next(_embeddings(by_size, poset, mode, pins), None)
 
 
 def find_embedding(
@@ -231,15 +211,17 @@ def find_embedding(
     mode: str = "standard",
     pinned: dict[int, int] | None = None,
 ) -> Embedding | None:
-    """First embedding of the poset into the family extending the pins, or
-    None.  The witness is re-verified against all invariants before return."""
+    """First embedding of the poset into the family extending the pins
+    (element -> member index), or None.  The witness is re-verified against
+    all invariants before return."""
     _check_mode(mode)
     pins = _validate_pins(family, poset, pinned)
-    hit = _search(family, poset, mode, pins, count_all=False)
+    hit = _search(family.by_size, poset, mode, pins)
     if hit is None:
         return None
-    assert verify_embedding(family, poset, mode, hit), "detector returned an invalid witness"
-    return Embedding(hit)
+    assignment = tuple(map(family.members.index, hit))
+    assert verify_embedding(family, poset, mode, assignment), "detector returned an invalid witness"
+    return Embedding(assignment)
 
 
 def count_embeddings(family, poset: ColoredPoset, mode: str = "standard") -> int:
@@ -249,13 +231,13 @@ def count_embeddings(family, poset: ColoredPoset, mode: str = "standard") -> int
         raise ValueError(f"count_embeddings allows at most {COUNT_FAMILY_GUARD} members")
     if poset.p > COUNT_POSET_GUARD:
         raise ValueError(f"count_embeddings allows at most {COUNT_POSET_GUARD} poset elements")
-    return _search(family, poset, mode, {}, count_all=True)
+    return sum(1 for _ in _embeddings(family.by_size, poset, mode, {}))
 
 
 def is_avoiding(family, configs: ConfigSet, mode: str = "standard") -> bool:
     """True iff no member poset of the ConfigSet embeds into the family."""
     _check_mode(mode)
-    return all(_search(family, poset, mode, {}, count_all=False) is None for poset in configs)
+    return all(_search(family.by_size, poset, mode, {}) is None for poset in configs)
 
 
 def find_violation(family, configs: ConfigSet, mode: str = "standard"):
@@ -268,12 +250,12 @@ def find_violation(family, configs: ConfigSet, mode: str = "standard"):
     return None
 
 
-def _hits_with_member(family, configs: ConfigSet, mode: str, new_idx: int) -> bool:
-    """True iff some config embeds into the family with member new_idx in the
-    image.  Assumes the member is already part of the family view."""
+def _hits_with_member(by_size, configs: ConfigSet, mode: str, new_set: Mask) -> bool:
+    """True iff some config embeds into the indexed family with new_set in
+    the image.  Assumes new_set is already in the index."""
     for poset in configs:
         for e in range(poset.p):
-            if _search(family, poset, mode, {e: new_idx}, count_all=False) is not None:
+            if _search(by_size, poset, mode, {e: new_set}) is not None:
                 return True
     return False
 
@@ -283,9 +265,13 @@ def violates_on_add(family: Family, new_set: Mask, configs: ConfigSet, mode: str
     the family itself avoids the configs.  Only embeddings whose image
     contains the new set need to be searched."""
     _check_mode(mode)
+    if new_set < 0 or new_set & ~family.ground.full_mask:
+        raise ValueError(f"mask {new_set} has bits outside the {family.n}-element ground set")
     if new_set in family.member_set:
         raise ValueError("new_set is already a member of the family")
     if not is_avoiding(family, configs, mode):
         raise ValueError("precondition failed: family must avoid the configs")
-    extended = family.with_member(new_set)
-    return _hits_with_member(extended, configs, mode, len(extended.members) - 1)
+    size = new_set.bit_count()
+    by_size = dict(family.by_size)
+    by_size[size] = (*by_size.get(size, ()), new_set)
+    return _hits_with_member(by_size, configs, mode, new_set)

@@ -64,10 +64,10 @@ class Family:
 
     Keeps insertion order (first occurrence wins) and an index from
     cardinality to the members of that cardinality.  Immutable after
-    construction; safe to share across workers.
+    construction.
     """
 
-    __slots__ = ("ground", "members", "member_set", "by_size", "index")
+    __slots__ = ("ground", "members", "member_set", "by_size")
 
     def __init__(self, n: int, masks=()):
         self.ground = GroundSet(n)
@@ -84,7 +84,6 @@ class Family:
         for m in self.members:
             by_size.setdefault(m.bit_count(), []).append(m)
         self.by_size: dict[int, tuple[Mask, ...]] = {s: tuple(v) for s, v in by_size.items()}
-        self.index: dict[Mask, int] = {m: i for i, m in enumerate(self.members)}
 
     @classmethod
     def from_sets(cls, n: int, sets) -> "Family":
@@ -113,9 +112,6 @@ class Family:
 
     def __repr__(self) -> str:
         return f"Family(n={self.n}, size={len(self.members)})"
-
-    def with_member(self, mask: Mask) -> "Family":
-        return Family(self.n, self.members + (mask,))
 
     def restrict_sizes(self, lo, hi) -> "Family":
         """Members whose cardinality s satisfies lo <= s <= hi (bounds may be rationals)."""

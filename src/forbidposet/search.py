@@ -16,7 +16,7 @@ class s, in candidate order, on the root [s] = {1..s}: every nonempty family
 has a first size class s in that order, and a permutation maps one of its
 sets of size s onto [s], so the root's subtree drops every set whose size
 was an earlier root.  Level 2 branches once per orbit of the root's
-stabilizer Sym([s]) x Sym([n] - [s]), keyed by (|X|, |X & [s]|): the view
+stabilizer Sym([s]) x Sym([n] - [s]), keyed by (|X|, |X & [s]|): the family
 {[s]} is fixed by the stabilizer, so a set's viability is constant on its
 orbit and the first viable member represents it; each orbit's subtree drops
 the orbits handled before it and keeps the rest of its own orbit.  With
@@ -34,7 +34,7 @@ from math import floor
 
 from .bounds import EXACT, BoundResult
 from .configs import ConfigSet
-from .detector import _hits_with_member, is_avoiding
+from .detector import _check_mode, _hits_with_member, is_avoiding
 from .lattice import Family, GroundSet, Mask
 
 PROVEN_OPTIMAL = "proven-optimal"
@@ -57,6 +57,7 @@ class SearchProblem:
 
     def __post_init__(self) -> None:
         GroundSet(self.n)
+        _check_mode(self.mode)
         if self.n > SEARCH_GROUND_GUARD:
             raise ValueError(f"search enumerates all 2^n subsets; limited to n <= {SEARCH_GROUND_GUARD}")
         if self.time_limit is not None and self.time_limit <= 0:
@@ -72,28 +73,6 @@ class SearchResult:
     prunes: int
 
 
-class _FamilyView:
-    """Mutable family with the attribute surface the detector reads."""
-
-    __slots__ = ("n", "members", "by_size", "index")
-
-    def __init__(self, n: int):
-        self.n = n
-        self.members: list[Mask] = []
-        self.by_size: dict[int, list[Mask]] = {}
-        self.index: dict[Mask, int] = {}
-
-    def push(self, mask: Mask) -> None:
-        self.index[mask] = len(self.members)
-        self.members.append(mask)
-        self.by_size.setdefault(mask.bit_count(), []).append(mask)
-
-    def pop(self) -> None:
-        mask = self.members.pop()
-        del self.index[mask]
-        self.by_size[mask.bit_count()].pop()
-
-
 def candidate_order(n: int, include_empty_and_full: bool = True) -> list[Mask]:
     """All subsets of [n], middle cardinalities first, ascending mask on ties."""
     masks = sorted(range(1 << n), key=lambda m: (abs(2 * m.bit_count() - n), m))
@@ -102,10 +81,12 @@ def candidate_order(n: int, include_empty_and_full: bool = True) -> list[Mask]:
     return masks
 
 
-def _bound_target(theorem_bound) -> int | None:
+def _bound_target(theorem_bound, n: int) -> int | None:
     if theorem_bound is None:
         return None
     if isinstance(theorem_bound, BoundResult):
+        if theorem_bound.n != n:
+            raise ValueError(f"theorem bound was evaluated at n={theorem_bound.n}, not at n={n}")
         if theorem_bound.exactness != EXACT:
             raise ValueError("only exact bounds can gate the search")
         if theorem_bound.validity != "ok":
@@ -122,38 +103,46 @@ class _Stop(Exception):
 class _Searcher:
     def __init__(self, problem: SearchProblem):
         self.problem = problem
-        self.view = _FamilyView(problem.n)
+        self.members: list[Mask] = []
+        self.by_size: dict[int, list[Mask]] = {s: [] for s in range(problem.n + 1)}
         self.best_members: tuple[Mask, ...] = ()
         self.best_size = 0
         self.nodes = 0
         self.prunes = 0
-        self.target = _bound_target(problem.theorem_bound)
+        self.target = _bound_target(problem.theorem_bound, problem.n)
         self.deadline = None
         if problem.time_limit is not None:
             self.deadline = time.monotonic() + problem.time_limit
 
+    def push(self, mask: Mask) -> None:
+        self.members.append(mask)
+        self.by_size[mask.bit_count()].append(mask)
+
+    def pop(self) -> None:
+        mask = self.members.pop()
+        self.by_size[mask.bit_count()].pop()
+
     def addable(self, mask: Mask) -> bool:
-        view = self.view
-        view.push(mask)
-        hit = _hits_with_member(view, self.problem.configs, self.problem.mode, len(view.members) - 1)
-        view.pop()
+        self.push(mask)
+        hit = _hits_with_member(self.by_size, self.problem.configs, self.problem.mode, mask)
+        self.pop()
         return not hit
 
     def record_if_better(self) -> None:
-        cur = len(self.view.members)
+        cur = len(self.members)
         if cur > self.best_size:
             self.best_size = cur
-            self.best_members = tuple(self.view.members)
+            self.best_members = tuple(self.members)
             if self.target is not None and self.best_size >= self.target:
                 raise _Stop("theorem")
 
     def enter(self, viable: list[Mask]) -> bool:
-        """Count a node at the current view; False when it is pruned."""
+        """Count a node at the current family; False when it is pruned."""
         self.nodes += 1
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise _Stop("timeout")
         self.record_if_better()
-        if len(self.view.members) + len(viable) <= self.best_size:
+        if len(self.members) + len(viable) <= self.best_size:
             self.prunes += 1
             return False
         return True
@@ -163,9 +152,9 @@ class _Searcher:
             return
         c = viable[0]
         rest = viable[1:]
-        self.view.push(c)
+        self.push(c)
         self.dfs([d for d in rest if self.addable(d)])
-        self.view.pop()
+        self.pop()
         self.dfs(rest)
 
     def branch_orbits(self, viable: list[Mask], key, descend) -> None:
@@ -178,15 +167,15 @@ class _Searcher:
                 continue
             rest = [d for d in viable if d != c and key(d) not in earlier]
             earlier.add(k)
-            self.view.push(c)
+            self.push(c)
             descend([d for d in rest if self.addable(d)])
-            self.view.pop()
+            self.pop()
 
     def stabilizer_orbits(self, viable: list[Mask]) -> None:
         """Level 2 under the root [s]: one branch per (|X|, |X & [s]|)."""
         if not self.enter(viable):
             return
-        rep = self.view.members[0]
+        rep = self.members[0]
         self.branch_orbits(viable, lambda m: (m.bit_count(), (m & rep).bit_count()), self.dfs)
 
     def run_root(self) -> str:
@@ -234,8 +223,8 @@ def greedy_lower_bound(problem: SearchProblem) -> Family:
     searcher = _Searcher(problem)
     for mask in candidate_order(problem.n, problem.include_empty_and_full):
         if searcher.addable(mask):
-            searcher.view.push(mask)
-    return Family(problem.n, searcher.view.members)
+            searcher.push(mask)
+    return Family(problem.n, searcher.members)
 
 
 def verify_witness(result: SearchResult, problem: SearchProblem) -> bool:

@@ -348,3 +348,20 @@ class TestModuleEntry:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["value"] == "140"
+
+    def test_closed_stdout_pipe_is_not_an_error(self):
+        # middle(16, 4) prints 43,758 lines, more than a pipe buffer holds, so
+        # the writer is still printing when the reader goes away
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "forbidposet", "construct", "middle", "--n", "16", "--r", "4"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline() == b"n=16\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert "error:" not in err and "Traceback" not in err, err

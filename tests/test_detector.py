@@ -1,10 +1,15 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from forbidposet import (
+    ColoredPoset,
+    ConfigSet,
     Family,
     build_named,
+    complement_family,
     count_embeddings,
     find_embedding,
     is_avoiding,
@@ -18,6 +23,7 @@ from conftest import (
     brute_avoiding,
     brute_count_embeddings,
     brute_embedding_exists,
+    combo_satisfies,
     named_roster,
     random_family,
 )
@@ -112,6 +118,8 @@ class TestViolatesOnAdd:
         fam = Family.from_sets(2, [[], [1]])
         with pytest.raises(ValueError):
             violates_on_add(fam, 0b01, KT)  # already a member
+        with pytest.raises(ValueError):
+            violates_on_add(fam, 0b100, KT)  # outside the 2-element ground set
         not_avoiding = Family(3, [m for m in range(8)])  # full powerset embeds J
         with pytest.raises(ValueError):
             violates_on_add(Family(3, not_avoiding.members[:-1]), 0b111, J)
@@ -231,3 +239,62 @@ class TestOracleEquivalenceSmall:
             fam = random_family(rng, 3)
             for label, cfg in roster:
                 assert is_avoiding(fam, cfg) == brute_avoiding(fam, cfg), (label, fam.sets())
+
+
+@st.composite
+def colored_posets(draw, max_p=4):
+    """A valid colored poset: colors a nondecreasing cover of 1..k, relations
+    drawn among pairs of strictly increasing color and closed transitively."""
+    p = draw(st.integers(1, max_p))
+    k = draw(st.integers(1, p))
+    cuts = draw(st.permutations(range(1, p)))[: k - 1]
+    colors = [1 + sum(e >= c for c in cuts) for e in range(p)]
+    pairs = [(a, b) for a in range(p) for b in range(p) if colors[a] < colors[b]]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return ColoredPoset.build(p, chosen, colors)
+
+
+@st.composite
+def small_families(draw, max_n=3):
+    n = draw(st.integers(1, max_n))
+    return Family(n, draw(st.lists(st.integers(0, (1 << n) - 1), unique=True)))
+
+
+ORACLE = settings(derandomize=True, max_examples=300, deadline=None, database=None)
+MODES = ("standard", "induced")
+
+
+class TestRandomPosetOracle:
+    """The detector against brute force on random posets, not only the
+    named roster."""
+
+    @ORACLE
+    @given(small_families(), colored_posets())
+    def test_count_matches_brute_force(self, fam, poset):
+        ConfigSet((poset,))  # the generator only builds valid posets
+        for mode in MODES:
+            assert count_embeddings(fam, poset, mode) == brute_count_embeddings(fam, poset, mode)
+
+    @ORACLE
+    @given(small_families(), colored_posets(), st.data())
+    def test_pinned_find_matches_brute_force(self, fam, poset, data):
+        assume(fam.members)
+        e = data.draw(st.integers(0, poset.p - 1))
+        idx = data.draw(st.integers(0, len(fam) - 1))
+        for mode in MODES:
+            expected = any(
+                combo[e] == idx and combo_satisfies(fam.members, poset, mode, combo)
+                for combo in itertools.permutations(range(len(fam)), poset.p)
+            )
+            emb = find_embedding(fam, poset, mode, pinned={e: idx})
+            assert (emb is not None) == expected
+            assert emb is None or emb.assignment[e] == idx
+
+    @ORACLE
+    @given(small_families(), st.lists(colored_posets(), min_size=1, max_size=2))
+    def test_complement_duality(self, fam, posets):
+        cfg = ConfigSet(tuple(posets))
+        for mode in MODES:
+            assert is_avoiding(fam, cfg, mode) == is_avoiding(
+                complement_family(fam), cfg.dual(), mode
+            )

@@ -206,6 +206,15 @@ class TestStatusesAndOptions:
             )
         assert exact_max_family(SearchProblem(n=2, configs=build_named("kt_pair"))).best_size == 3
 
+    def test_theorem_bound_from_another_n_rejected(self):
+        # kt at n=4 reads 6; gating an n=5 search with it would stop at 6,
+        # half the true maximum 12
+        bound = evaluate_bound("kt", n=4)
+        with pytest.raises(ValueError, match="n=4"):
+            exact_max_family(
+                SearchProblem(n=5, configs=build_named("kt_pair"), theorem_bound=bound)
+            )
+
     def test_timeout_keeps_best_so_far(self):
         res = exact_max_family(
             SearchProblem(n=5, configs=build_named("kt_pair"), time_limit=0.05)
@@ -300,6 +309,11 @@ class TestGuards:
     def test_ground_guard(self):
         with pytest.raises(ValueError):
             SearchProblem(n=21, configs=build_named("kt_pair"))
+
+    def test_mode_validated(self):
+        # a misspelt mode used to run the search in standard mode
+        with pytest.raises(ValueError, match="mode"):
+            SearchProblem(n=4, configs=build_named("kt_pair"), mode="Induced")
 
     def test_status_downgrade_beyond_exact_guard(self):
         # chain(10) cannot embed, so the tree collapses instantly even at n=7;
