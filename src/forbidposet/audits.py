@@ -105,7 +105,7 @@ class ForkBandReport:
     passed: bool
 
 
-def audit_fork_lambda(family: Family, s: int, n: int | None = None) -> ForkBandReport:
+def audit_fork_lambda(family: Family, s: int) -> ForkBandReport:
     """Exact Lubell function of the middle band of a fork-avoiding family.
 
     Reports the smallest c making lambda <= 1 + 2(s-1)/n + c*k/n^2 hold (the
@@ -113,14 +113,11 @@ def audit_fork_lambda(family: Family, s: int, n: int | None = None) -> ForkBandR
     to it) and hard-fails only when lambda exceeds 2 + (s-1)*q(2), the safe
     consequence of the exact per-chain average 1 + (s-1)*q(n-|A|).
     """
-    if n is None:
-        n = family.n
-    if n != family.n:
-        raise ValueError(f"n={n} disagrees with the family ground set {family.n}")
     if s < 2:
         raise ValueError(f"fork audit needs s >= 2, got {s}")
     if not is_avoiding(family, build_named("fork", s)):
         raise ValueError(f"precondition failed: family contains a size-restricted fork({s})")
+    n = family.n
     k = tail_k(n)
     half = Fraction(n, 2)
     band = family.restrict_sizes(half - k, half + k)

@@ -36,17 +36,6 @@ from .detector import find_violation
 from .lattice import Family, elems_of, lubell
 from .search import EXACT_STATUS_GUARD, SearchProblem, exact_max_family
 
-WORKERS_ENV = "FORBIDPOSET_WORKERS"
-
-
-def _default_workers() -> int:
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _rat(x) -> str:
     return str(Fraction(x))
 
@@ -404,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("--trials", type=int, default=100000)
     p_audit.add_argument("--seed", type=int, default=0)
     p_audit.add_argument("--s", type=int, help="fork width for 'fork'")
-    p_audit.add_argument("--workers", type=int, default=_default_workers())
+    p_audit.add_argument("--workers", type=int, default=1)
     add_format(p_audit)
 
     p_lub = sub.add_parser("lubell", help="exact Lubell function of a family")

@@ -289,6 +289,10 @@ def poset_from_obj(obj) -> ColoredPoset:
         raise ValueError("poset field 'relations' must be a list of [a, b] integer pairs")
     if not isinstance(colors, list) or any(type(c) is not int for c in colors):
         raise ValueError(f"poset field 'colors' must be a list of integers, got {colors!r}")
+    # the closure costs O(p^2) before validate would see this; p < 1 is left
+    # to validate, which names it
+    if p >= 1 and len(colors) != p:
+        raise ValueError(f"poset field 'colors' needs one color per element: expected {p}, got {len(colors)}")
     return ColoredPoset.build(p, pairs, colors, obj.get("name"))
 
 

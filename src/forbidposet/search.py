@@ -1,28 +1,32 @@
 """Exact maximum avoiding-family computation by branch and bound.
 
-Branching is depth-first over candidate sets ordered by distance of their
-cardinality from n/2 (ascending bitmask inside a tie), include branch first:
-extremal families concentrate near the middle levels, so good incumbents
-appear early.  Pruning combines the cardinality bound |current| + |viable|
-against the incumbent, incremental violation checks on every candidate, and
-an optional early stop once the incumbent meets a user-supplied exact theorem
-bound.
+Candidate sets are ordered by the distance of their cardinality from n/2
+(ascending bitmask inside a tie): extremal families concentrate near the
+middle levels, so good incumbents appear early.  A node of the tree is the
+current family with its viable sets, the later candidates that can still be
+added, and one rule branches at every depth.  The node records the current
+family if it beats the incumbent, then includes the first viable set of each
+orbit in turn; that set's subtree keeps the rest of its own orbit and drops
+the orbits handled before it, so the subtrees are disjoint.  The loop stops
+once |current| + 1 + |rest| cannot beat the incumbent.  An optional
+user-supplied exact theorem bound ends the search once the incumbent meets
+it.
 
-Symmetry reduction splits the first two levels of the tree into disjoint
-parts.  An embedding depends only on containment and cardinality, which
-every permutation of [n] preserves, so any permuted copy of an avoiding
-family avoids the same configurations.  Level 1 branches once per size
-class s, in candidate order, on the root [s] = {1..s}: every nonempty family
-has a first size class s in that order, and a permutation maps one of its
-sets of size s onto [s], so the root's subtree drops every set whose size
-was an earlier root.  Level 2 branches once per orbit of the root's
-stabilizer Sym([s]) x Sym([n] - [s]), keyed by (|X|, |X & [s]|): the family
-{[s]} is fixed by the stabilizer, so a set's viability is constant on its
-orbit and the first viable member represents it; each orbit's subtree drops
-the orbits handled before it and keeps the rest of its own orbit.  With
-symmetry off the search is the plain tree.
+Symmetry is only the choice of orbit key per depth.  An embedding depends
+only on containment and cardinality, which every permutation of [n]
+preserves, so any permuted copy of an avoiding family avoids the same
+configurations.  Depth 0 keys by |X|: every nonempty family has a first size
+class s in candidate order, and a permutation maps one of its sets of size s
+onto the root [s] = {1..s}, the first set of that size.  Depth 1 keys by
+(|X|, |X & [s]|), the orbits of the root's stabilizer Sym([s]) x
+Sym([n] - [s]): the family {[s]} is fixed by the stabilizer, so a set's
+viability is constant on its orbit and the first viable member represents
+it.  Deeper depths, and every depth with symmetry off, key by the set
+itself, which is the plain tree.
 
-Results are deterministic for fixed options.
+``nodes_explored`` counts the families entered, the empty root included;
+``prunes`` counts the loops cut by the cardinality bound.  Results are
+deterministic for fixed options.
 """
 
 from __future__ import annotations
@@ -136,57 +140,41 @@ class _Searcher:
             if self.target is not None and self.best_size >= self.target:
                 raise _Stop("theorem")
 
-    def enter(self, viable: list[Mask]) -> bool:
-        """Count a node at the current family; False when it is pruned."""
+    def orbit_key(self, depth: int):
+        """Key whose classes are the orbits branched on at this depth."""
+        if self.problem.symmetry and depth == 0:
+            return int.bit_count
+        if self.problem.symmetry and depth == 1:
+            root = self.members[0]
+            return lambda m: (m.bit_count(), (m & root).bit_count())
+        return lambda m: m
+
+    def branch(self, viable: list[Mask], depth: int) -> None:
+        """Count a node at the current family, then include the first viable
+        set of each orbit in turn, while the sets left could still beat the
+        incumbent: its subtree keeps the rest of its own orbit and drops the
+        orbits handled before it."""
         self.nodes += 1
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise _Stop("timeout")
         self.record_if_better()
-        if len(self.members) + len(viable) <= self.best_size:
-            self.prunes += 1
-            return False
-        return True
-
-    def dfs(self, viable: list[Mask]) -> None:
-        if not self.enter(viable):
-            return
-        c = viable[0]
-        rest = viable[1:]
-        self.push(c)
-        self.dfs([d for d in rest if self.addable(d)])
-        self.pop()
-        self.dfs(rest)
-
-    def branch_orbits(self, viable: list[Mask], key, descend) -> None:
-        """Include the first viable set of each key in turn; its subtree
-        keeps the rest of its own key and drops the sets of earlier keys."""
-        earlier = set()
-        for c in viable:
-            k = key(c)
-            if k in earlier:
-                continue
-            rest = [d for d in viable if d != c and key(d) not in earlier]
-            earlier.add(k)
+        key = self.orbit_key(depth)
+        while viable:
+            if len(self.members) + len(viable) <= self.best_size:
+                self.prunes += 1
+                return
+            c, rest = viable[0], viable[1:]
             self.push(c)
-            descend([d for d in rest if self.addable(d)])
+            self.branch([d for d in rest if self.addable(d)], depth + 1)
             self.pop()
-
-    def stabilizer_orbits(self, viable: list[Mask]) -> None:
-        """Level 2 under the root [s]: one branch per (|X|, |X & [s]|)."""
-        if not self.enter(viable):
-            return
-        rep = self.members[0]
-        self.branch_orbits(viable, lambda m: (m.bit_count(), (m & rep).bit_count()), self.dfs)
+            k = key(c)
+            viable = [d for d in rest if key(d) != k]
 
     def run_root(self) -> str:
         problem = self.problem
         candidates = candidate_order(problem.n, problem.include_empty_and_full)
         try:
-            viable = [d for d in candidates if self.addable(d)]
-            if problem.symmetry:
-                self.branch_orbits(viable, int.bit_count, self.stabilizer_orbits)
-            elif viable:
-                self.dfs(viable)
+            self.branch([d for d in candidates if self.addable(d)], 0)
         except _Stop as stop:
             return stop.reason
         return "exhausted"
@@ -212,9 +200,9 @@ def exact_max_family(problem: SearchProblem) -> SearchResult:
     else:
         status = LOWER_BOUND_ONLY
     witness = Family(problem.n, searcher.best_members)
-    assert is_avoiding(witness, problem.configs, problem.mode), "witness failed re-verification"
-    assert len(witness) == searcher.best_size
-    return SearchResult(searcher.best_size, witness, status, searcher.nodes, searcher.prunes)
+    result = SearchResult(searcher.best_size, witness, status, searcher.nodes, searcher.prunes)
+    assert verify_witness(result, problem), "witness failed re-verification"
+    return result
 
 
 def greedy_lower_bound(problem: SearchProblem) -> Family:

@@ -324,17 +324,21 @@ class TestReplayAndSchema:
         }
         assert obj["run"]["seed"] == 7
 
-    def test_workers_env_default(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("FORBIDPOSET_WORKERS", "3")
-        path = write_family(tmp_path, kt_construction(4))
-        _, out1, _ = run_cli(
-            capsys, "audit", "lubell", "--family", path, "--trials", "300", "--seed", "1"
-        )
-        _, out2, _ = run_cli(
-            capsys, "audit", "lubell", "--family", path, "--trials", "300", "--seed", "1",
-            "--workers", "3",
-        )
-        assert json.loads(out1)["mean"] == json.loads(out2)["mean"]
+    def test_workers_env_does_not_change_output(self, capsys, tmp_path, monkeypatch):
+        # the run record keeps argv but not the environment, so replaying an
+        # argv must print the same result whatever FORBIDPOSET_WORKERS holds
+        path = write_family(tmp_path, Family.from_sets(4, [[1, 2]]))
+        argv = ["audit", "lubell", "--family", path, "--trials", "10", "--seed", "1"]
+        outs = []
+        for value in ("3", None):
+            if value is None:
+                monkeypatch.delenv("FORBIDPOSET_WORKERS", raising=False)
+            else:
+                monkeypatch.setenv("FORBIDPOSET_WORKERS", value)
+            obj = json.loads(run_cli(capsys, *argv)[1])
+            obj["run"].pop("wall_time")
+            outs.append(obj)
+        assert outs[0] == outs[1]
 
 
 class TestModuleEntry:

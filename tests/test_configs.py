@@ -166,6 +166,15 @@ class TestSerialization:
         with pytest.raises(ValueError, match="colors"):
             parse_config('{"configs": [{"elements": 2, "relations": [[0,1]]}]}')
 
+    def test_color_count_checked_before_closure(self, monkeypatch):
+        # the O(p^2) closure used to run before validate counted the colors
+        def no_closure(p, pairs):
+            raise AssertionError("closure computed for a malformed config")
+
+        monkeypatch.setattr("forbidposet.configs.transitive_closure", no_closure)
+        with pytest.raises(ValueError, match="colors"):
+            parse_config('{"elements": 16000, "relations": [], "colors": [1]}')
+
     def test_malformed_json(self):
         with pytest.raises(ValueError, match="parse error"):
             parse_config("{nope")

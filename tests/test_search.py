@@ -15,6 +15,7 @@ from forbidposet import (
     is_avoiding,
     kt_construction,
     middle_levels,
+    parse_config_id,
     sigma,
     verify_witness,
 )
@@ -148,8 +149,8 @@ class TestSearchProperties:
     def test_stabilizer_orbits_split_by_intersection(self):
         # one set per size, and no set above two smaller ones of different
         # sizes: the optimum (the empty set, {1} and {2,3}) needs its 2-set
-        # disjoint from its 1-set, so under the root {1} the level-2
-        # branches must keep 2-sets meeting the root apart from the others
+        # disjoint from its 1-set, so under the root {1} the depth-1 orbit
+        # key must keep 2-sets meeting the root apart from the others
         cfg = ConfigSet(
             (ColoredPoset.build(3, [(0, 2), (1, 2)], [1, 2, 3]), ColoredPoset.build(2, [], [1, 1]))
         )
@@ -159,7 +160,7 @@ class TestSearchProperties:
             assert exact_max_family(SearchProblem(n=3, configs=cfg, symmetry=symmetry)).best_size == want
 
     def test_symmetry_reduces_nodes(self, roster):
-        # the two symmetric levels split the tree into disjoint parts, so the
+        # the two symmetric depths split the tree into disjoint parts, so the
         # reduced search must explore fewer nodes than the plain tree
         def total_nodes(symmetry):
             return sum(
@@ -179,6 +180,42 @@ class TestSearchProperties:
             b.prunes,
         )
         assert a.witness == b.witness
+
+
+class TestGolden:
+    # (best_size, status, witness masks in the order found) recorded from the
+    # search before its levels shared one branching rule; symmetry on and off
+    # reach the same first optimum
+    GOLDEN = {
+        ("kt_pair", 5): (12, PROVEN_OPTIMAL, (3, 5, 6, 9, 10, 12, 19, 21, 22, 25, 26, 28)),
+        ("diamond(4)", 5): (
+            30,
+            PROVEN_OPTIMAL,
+            (3, 5, 6, 7, 9, 10, 11, 12, 13, 14, 17, 18, 19, 20, 21, 22, 24, 25, 26, 28,
+             1, 2, 4, 8, 15, 16, 23, 27, 29, 30),
+        ),
+        ("butterfly_pair", 4): (10, PROVEN_OPTIMAL, (3, 5, 6, 9, 10, 12, 1, 2, 4, 8)),
+        ("j_config", 4): (10, PROVEN_OPTIMAL, (3, 5, 6, 9, 10, 12, 1, 2, 4, 8)),
+    }
+
+    @pytest.mark.parametrize("symmetry", (True, False))
+    @pytest.mark.parametrize("case", sorted(GOLDEN), ids=lambda c: f"{c[0]}-n{c[1]}")
+    def test_results_pinned(self, case, symmetry):
+        label, n = case
+        res = exact_max_family(
+            SearchProblem(n=n, configs=build_named(parse_config_id(label)), symmetry=symmetry)
+        )
+        assert (res.best_size, res.status, res.witness.members) == self.GOLDEN[case]
+
+    @pytest.mark.parametrize("symmetry", (True, False))
+    def test_node_and_prune_counts(self, symmetry):
+        # chain(4) cannot embed in [2], so every family avoids it.  The first
+        # branch includes all four sets in order: the root plus one node per
+        # set, 5 nodes.  Back at depths 2, 1 and 0, the next branch could
+        # reach at most 3 sets, no better than the incumbent 4: one cut each
+        res = exact_max_family(SearchProblem(n=2, configs=build_named("chain", 4), symmetry=symmetry))
+        assert res.best_size == 4
+        assert (res.nodes_explored, res.prunes) == (5, 3)
 
 
 class TestStatusesAndOptions:
