@@ -49,7 +49,6 @@ from .detector import (
     find_violation,
     is_avoiding,
     verify_embedding,
-    violates_on_add,
 )
 from .lattice import (
     Chain,
@@ -127,6 +126,5 @@ __all__ = [
     "validate",
     "verify_embedding",
     "verify_witness",
-    "violates_on_add",
     "weighted_chain_average",
 ]

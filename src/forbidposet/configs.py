@@ -23,9 +23,10 @@ def transitive_closure(p: int, pairs) -> frozenset[tuple[int, int]]:
             raise ValueError(f"relation pair ({a}, {b}) outside 0..{p - 1}")
         adj[a].add(b)
     for mid in range(p):
-        for a in range(p):
-            if mid in adj[a]:
-                adj[a] |= adj[mid]
+        if adj[mid]:  # a mid with no successors adds nothing to anyone
+            for a in range(p):
+                if mid in adj[a]:
+                    adj[a] |= adj[mid]
     return frozenset((a, b) for a in range(p) for b in adj[a])
 
 

@@ -10,9 +10,7 @@ index (set size -> the members of that size).  It assigns colors in
 ascending order (each color commits to one set size, so the equal-size
 constraint becomes a loop over at most n+1 size values) and elements within
 a color together, and yields each embedding as the tuple of image masks.
-Pins fix elements to given masks, which is how incremental search asks only
-for embeddings through a newly added set.  Finding one embedding takes the
-first item; counting exhausts the generator.
+Finding one embedding takes the first item; counting exhausts the generator.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .configs import ColoredPoset, ConfigSet
-from .lattice import Family, Mask
+from .lattice import Mask
 
 COUNT_FAMILY_GUARD = 4096
 COUNT_POSET_GUARD = 8
@@ -106,30 +104,12 @@ def verify_embedding(family, poset: ColoredPoset, mode: str, assignment) -> bool
     return True
 
 
-def _validate_pins(family, poset: ColoredPoset, pinned) -> dict[int, Mask]:
-    """Pins as element -> member mask, after checking them against the
-    family and the poset's colors."""
-    pins: dict[int, Mask] = {}
-    color_size: dict[int, int] = {}
-    for e, idx in dict(pinned or {}).items():
-        if not 0 <= e < poset.p:
-            raise ValueError(f"pinned element {e} outside poset")
-        if not 0 <= idx < len(family.members):
-            raise ValueError(f"pinned member index {idx} outside family")
-        mask = family.members[idx]
-        if mask in pins.values():
-            raise ValueError("pinned assignment is not injective")
-        c = poset.colors[e]
-        if color_size.setdefault(c, mask.bit_count()) != mask.bit_count():
-            raise ValueError(f"pins give color {c} two different set sizes")
-        pins[e] = mask
-    return pins
-
-
-def _embeddings(by_size, poset: ColoredPoset, mode: str, pins: dict[int, Mask]):
-    """Backtracking core: yield every embedding extending the pins, each as
-    the tuple of image masks in element order.  ``by_size`` maps a set size
-    to the family's members of that size; pinned masks must be among them.
+def _embeddings(by_size, poset: ColoredPoset, mode: str):
+    """Backtracking core: yield every embedding of the poset into the indexed
+    family, each as the tuple of image masks in element order.  ``by_size``
+    maps a set size to the family's members of that size.  A poset with
+    more elements than the family has members cannot embed injectively, so
+    it yields nothing before any plan is built.
 
     Two stages per size tuple: commit every color to one set size (respecting
     the size order forced by inter-color relations), then assign elements in
@@ -137,12 +117,13 @@ def _embeddings(by_size, poset: ColoredPoset, mode: str, pins: dict[int, Mask]):
     of the unassigned elements.  The propagation is what keeps large
     single-size levels from turning into cartesian scans.
     """
+    if poset.p > sum(map(len, by_size.values())):
+        return iter(())
     k, classes, order, pos_of, succs, incomparable, lower_colors = _plan(poset)
     p = poset.p
     colors = poset.colors
     avail_sizes = sorted(by_size)
     induced = mode == "induced"
-    forced_size = {colors[e]: mask.bit_count() for e, mask in pins.items()}
 
     image = [0] * p
     used: set[Mask] = set()
@@ -186,13 +167,10 @@ def _embeddings(by_size, poset: ColoredPoset, mode: str, pins: dict[int, Mask]):
 
     def choose_size(c: int):
         if c > k:
-            domains = [
-                [pins[e]] if e in pins else by_size[chosen_size[colors[e]]] for e in range(p)
-            ]
-            yield from assign(0, domains)
+            yield from assign(0, [by_size[chosen_size[colors[e]]] for e in range(p)])
             return
         floor = max((chosen_size[c2] for c2 in lower_colors[c]), default=-1)
-        for size in (forced_size[c],) if c in forced_size else avail_sizes:
+        for size in avail_sizes:
             if size > floor and len(by_size.get(size, ())) >= len(classes[c]):
                 chosen_size[c] = size
                 yield from choose_size(c + 1)
@@ -200,23 +178,23 @@ def _embeddings(by_size, poset: ColoredPoset, mode: str, pins: dict[int, Mask]):
     return choose_size(1)
 
 
-def _search(by_size, poset: ColoredPoset, mode: str, pins: dict[int, Mask]):
+def _search(by_size, poset: ColoredPoset, mode: str):
     """The first embedding's image masks, or None."""
-    return next(_embeddings(by_size, poset, mode, pins), None)
+    return next(_embeddings(by_size, poset, mode), None)
 
 
-def find_embedding(
-    family,
-    poset: ColoredPoset,
-    mode: str = "standard",
-    pinned: dict[int, int] | None = None,
-) -> Embedding | None:
-    """First embedding of the poset into the family extending the pins
-    (element -> member index), or None.  The witness is re-verified against
-    all invariants before return."""
+def _hits_with_member(by_size, configs: ConfigSet, mode: str) -> bool:
+    """True iff some config embeds into the indexed family.  When that family
+    is an avoiding family plus one new set, every embedding must use the new
+    set, so this is also the incremental check for adding it."""
+    return any(_search(by_size, poset, mode) is not None for poset in configs)
+
+
+def find_embedding(family, poset: ColoredPoset, mode: str = "standard") -> Embedding | None:
+    """First embedding of the poset into the family, or None.  The witness is
+    re-verified against all invariants before return."""
     _check_mode(mode)
-    pins = _validate_pins(family, poset, pinned)
-    hit = _search(family.by_size, poset, mode, pins)
+    hit = _search(family.by_size, poset, mode)
     if hit is None:
         return None
     assignment = tuple(map(family.members.index, hit))
@@ -231,13 +209,13 @@ def count_embeddings(family, poset: ColoredPoset, mode: str = "standard") -> int
         raise ValueError(f"count_embeddings allows at most {COUNT_FAMILY_GUARD} members")
     if poset.p > COUNT_POSET_GUARD:
         raise ValueError(f"count_embeddings allows at most {COUNT_POSET_GUARD} poset elements")
-    return sum(1 for _ in _embeddings(family.by_size, poset, mode, {}))
+    return sum(1 for _ in _embeddings(family.by_size, poset, mode))
 
 
 def is_avoiding(family, configs: ConfigSet, mode: str = "standard") -> bool:
     """True iff no member poset of the ConfigSet embeds into the family."""
     _check_mode(mode)
-    return all(_search(family.by_size, poset, mode, {}) is None for poset in configs)
+    return not _hits_with_member(family.by_size, configs, mode)
 
 
 def find_violation(family, configs: ConfigSet, mode: str = "standard"):
@@ -249,29 +227,3 @@ def find_violation(family, configs: ConfigSet, mode: str = "standard"):
             return i, emb
     return None
 
-
-def _hits_with_member(by_size, configs: ConfigSet, mode: str, new_set: Mask) -> bool:
-    """True iff some config embeds into the indexed family with new_set in
-    the image.  Assumes new_set is already in the index."""
-    for poset in configs:
-        for e in range(poset.p):
-            if _search(by_size, poset, mode, {e: new_set}) is not None:
-                return True
-    return False
-
-
-def violates_on_add(family: Family, new_set: Mask, configs: ConfigSet, mode: str = "standard") -> bool:
-    """Whether family + {new_set} contains a forbidden embedding, given that
-    the family itself avoids the configs.  Only embeddings whose image
-    contains the new set need to be searched."""
-    _check_mode(mode)
-    if new_set < 0 or new_set & ~family.ground.full_mask:
-        raise ValueError(f"mask {new_set} has bits outside the {family.n}-element ground set")
-    if new_set in family.member_set:
-        raise ValueError("new_set is already a member of the family")
-    if not is_avoiding(family, configs, mode):
-        raise ValueError("precondition failed: family must avoid the configs")
-    size = new_set.bit_count()
-    by_size = dict(family.by_size)
-    by_size[size] = (*by_size.get(size, ()), new_set)
-    return _hits_with_member(by_size, configs, mode, new_set)

@@ -10,7 +10,10 @@ orbit in turn; that set's subtree keeps the rest of its own orbit and drops
 the orbits handled before it, so the subtrees are disjoint.  The loop stops
 once |current| + 1 + |rest| cannot beat the incumbent.  An optional
 user-supplied exact theorem bound ends the search once the incumbent meets
-it.
+it.  A candidate is viable when the family stays avoiding with it added,
+and since the current family is always avoiding, any embedding must use the
+candidate, so ``addable`` asks the detector the plain question "does any
+configuration embed?" of the enlarged family.
 
 Symmetry is only the choice of orbit key per depth.  An embedding depends
 only on containment and cardinality, which every permutation of [n]
@@ -128,7 +131,7 @@ class _Searcher:
 
     def addable(self, mask: Mask) -> bool:
         self.push(mask)
-        hit = _hits_with_member(self.by_size, self.problem.configs, self.problem.mode, mask)
+        hit = _hits_with_member(self.by_size, self.problem.configs, self.problem.mode)
         self.pop()
         return not hit
 

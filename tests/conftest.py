@@ -1,5 +1,6 @@
 """Shared oracles and fixtures: the brute-force embedding check (independent
-of the detector's backtracking) and the roster of named configurations."""
+of the detector's backtracking), the roster of named configurations and a
+strategy for random colored posets."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from forbidposet import ColoredPoset, ConfigSet, Family, build_named
 
@@ -95,3 +97,16 @@ def all_families(n: int):
     universe = 1 << n
     for bits in range(1 << universe):
         yield Family(n, [m for m in range(universe) if bits >> m & 1])
+
+
+@st.composite
+def colored_posets(draw, max_p=4):
+    """A valid colored poset: colors a nondecreasing cover of 1..k, relations
+    drawn among pairs of strictly increasing color and closed transitively."""
+    p = draw(st.integers(1, max_p))
+    k = draw(st.integers(1, p))
+    cuts = draw(st.permutations(range(1, p)))[: k - 1]
+    colors = [1 + sum(e >= c for c in cuts) for e in range(p)]
+    pairs = [(a, b) for a in range(p) for b in range(p) if colors[a] < colors[b]]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return ColoredPoset.build(p, chosen, colors)

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from forbidposet import (
     ColoredPoset,
@@ -27,6 +28,7 @@ from forbidposet.search import (
     candidate_order,
 )
 
+from conftest import all_families, brute_avoiding, colored_posets
 
 
 def brute_force_max(n, configs, mode="standard"):
@@ -307,11 +309,29 @@ class TestGreedy:
             prob = SearchProblem(n=n, configs=cfg)
             fam = greedy_lower_bound(prob)
             assert is_avoiding(fam, cfg), label
-            from forbidposet import violates_on_add
-
             for mask in range(1 << n):
                 if mask not in fam.member_set:
-                    assert violates_on_add(fam, mask, cfg), (label, n, mask)
+                    assert not is_avoiding(Family(n, fam.members + (mask,)), cfg), (label, n, mask)
+
+
+class TestRandomPosetOracle:
+    """Greedy and exact search on random colored posets, checked only by the
+    brute-force oracle, which shares no code with the detector."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(st.integers(1, 3), st.lists(colored_posets(), min_size=1, max_size=2))
+    def test_greedy_maximal_and_exact_maximum(self, n, posets):
+        cfg = ConfigSet(tuple(posets))
+        for mode in ("standard", "induced"):
+            prob = SearchProblem(n=n, configs=cfg, mode=mode)
+            fam = greedy_lower_bound(prob)
+            assert brute_avoiding(fam, cfg, mode)
+            for mask in range(1 << n):
+                if mask not in fam.member_set:
+                    assert not brute_avoiding(Family(n, fam.members + (mask,)), cfg, mode), mask
+            if n <= 2:
+                best = max(len(f) for f in all_families(n) if brute_avoiding(f, cfg, mode))
+                assert exact_max_family(prob).best_size == best, mode
 
 
 class TestVerifyWitness:
