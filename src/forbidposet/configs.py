@@ -138,8 +138,10 @@ class ConfigSet:
     def __post_init__(self) -> None:
         if not self.configs:
             raise ValueError("ConfigSet needs at least one poset")
-        for c in self.configs:
-            require_valid(c)
+        for i, c in enumerate(self.configs):
+            v = validate(c)
+            if v is not None:
+                raise ValueError(f"config #{i} invalid ({v.kind}): {v.detail}")
 
     def __iter__(self):
         return iter(self.configs)
@@ -318,13 +320,11 @@ def parse_config(text: str) -> ConfigSet:
     posets = []
     for i, item in enumerate(items):
         try:
-            poset = poset_from_obj(item)
+            posets.append(poset_from_obj(item))
         except ValueError as exc:
+            if posets:  # an invalid earlier poset is still the one reported
+                ConfigSet(tuple(posets))
             raise ValueError(f"config #{i}: {exc}") from None
-        v = validate(poset)
-        if v is not None:
-            raise ValueError(f"config #{i} invalid ({v.kind}): {v.detail}")
-        posets.append(poset)
     return ConfigSet(tuple(posets))
 
 

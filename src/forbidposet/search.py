@@ -15,17 +15,17 @@ and since the current family is always avoiding, any embedding must use the
 candidate, so ``addable`` asks the detector the plain question "does any
 configuration embed?" of the enlarged family.
 
-Symmetry is only the choice of orbit key per depth.  An embedding depends
-only on containment and cardinality, which every permutation of [n]
-preserves, so any permuted copy of an avoiding family avoids the same
-configurations.  Depth 0 keys by |X|: every nonempty family has a first size
-class s in candidate order, and a permutation maps one of its sets of size s
-onto the root [s] = {1..s}, the first set of that size.  Depth 1 keys by
-(|X|, |X & [s]|), the orbits of the root's stabilizer Sym([s]) x
-Sym([n] - [s]): the family {[s]} is fixed by the stabilizer, so a set's
-viability is constant on its orbit and the first viable member represents
-it.  Deeper depths, and every depth with symmetry off, key by the set
-itself, which is the plain tree.
+Symmetry is only the choice of orbit key.  An embedding depends only on
+containment and cardinality, which every permutation of [n] preserves, so
+any permuted copy of an avoiding family avoids the same configurations.
+Each node keys X by (|X & a| for each atom a), the atoms being the nonempty
+cells the current members cut [n] into; its classes are the orbits of the
+members' pointwise stabilizer.  That group fixes the current family, so
+viability is constant on each orbit and the first viable set represents it;
+it is a subgroup of every ancestor's group, so the sets the ancestors
+dropped stay a union of orbits.  The root's one atom keys by |X|, and once
+every atom is a singleton the key is the set itself, as it is at every node
+with symmetry off: the plain tree.
 
 ``nodes_explored`` counts the families entered, the empty root included;
 ``prunes`` counts the loops cut by the cardinality bound.  Results are
@@ -143,16 +143,16 @@ class _Searcher:
             if self.target is not None and self.best_size >= self.target:
                 raise _Stop("theorem")
 
-    def orbit_key(self, depth: int):
-        """Key whose classes are the orbits branched on at this depth."""
-        if self.problem.symmetry and depth == 0:
-            return int.bit_count
-        if self.problem.symmetry and depth == 1:
-            root = self.members[0]
-            return lambda m: (m.bit_count(), (m & root).bit_count())
-        return lambda m: m
+    def orbit_key(self):
+        """Key whose classes are the orbits branched on at this node."""
+        if not self.problem.symmetry:
+            return lambda m: m
+        atoms = [(1 << self.problem.n) - 1]
+        for member in self.members:
+            atoms = [cell for a in atoms for cell in (a & member, a & ~member) if cell]
+        return lambda m: tuple((m & a).bit_count() for a in atoms)
 
-    def branch(self, viable: list[Mask], depth: int) -> None:
+    def branch(self, viable: list[Mask]) -> None:
         """Count a node at the current family, then include the first viable
         set of each orbit in turn, while the sets left could still beat the
         incumbent: its subtree keeps the rest of its own orbit and drops the
@@ -161,14 +161,14 @@ class _Searcher:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise _Stop("timeout")
         self.record_if_better()
-        key = self.orbit_key(depth)
+        key = self.orbit_key()
         while viable:
             if len(self.members) + len(viable) <= self.best_size:
                 self.prunes += 1
                 return
             c, rest = viable[0], viable[1:]
             self.push(c)
-            self.branch([d for d in rest if self.addable(d)], depth + 1)
+            self.branch([d for d in rest if self.addable(d)])
             self.pop()
             k = key(c)
             viable = [d for d in rest if key(d) != k]
@@ -177,7 +177,7 @@ class _Searcher:
         problem = self.problem
         candidates = candidate_order(problem.n, problem.include_empty_and_full)
         try:
-            self.branch([d for d in candidates if self.addable(d)], 0)
+            self.branch([d for d in candidates if self.addable(d)])
         except _Stop as stop:
             return stop.reason
         return "exhausted"

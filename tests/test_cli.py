@@ -89,6 +89,18 @@ class TestConstructCommand:
         code, _, err = run_cli(capsys, "construct", "kt", "--n", "1")
         assert code == 1 and "error" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        (["kt", "--n", "65"], ["middle", "--n", "65", "--r", "1"], ["diamond", "--n", "66", "--m", "2"]),
+        ids=("kt", "middle", "diamond"),
+    )
+    def test_ground_guard_before_enumeration(self, capsys, argv):
+        # the ground set is checked before levels of about C(64, 32) sets
+        # would be enumerated
+        code, out, err = run_cli(capsys, "construct", *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: ground set size must be in [1, 64], got {argv[2]}\n"
+
 
 class TestCheckCommand:
     def test_kt_construction_avoids(self, capsys, tmp_path):

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from forbidposet import (
     ColoredPoset,
@@ -11,6 +12,7 @@ from forbidposet import (
 )
 from forbidposet.configs import ConfigId, transitive_closure
 
+from conftest import colored_posets
 
 
 class TestValidate:
@@ -174,6 +176,42 @@ class TestSerialization:
         monkeypatch.setattr("forbidposet.configs.transitive_closure", no_closure)
         with pytest.raises(ValueError, match="colors"):
             parse_config('{"elements": 16000, "relations": [], "colors": [1]}')
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(st.lists(colored_posets(), min_size=1, max_size=3))
+    def test_roundtrip_random_posets(self, posets):
+        cfg = ConfigSet(tuple(posets))
+        assert parse_config(serialize_config(cfg)) == cfg
+
+    def test_each_poset_validated_once(self, monkeypatch):
+        # validate dominates loading a large config, so it runs once per poset
+        text = serialize_config(build_named("butterfly_pair"))
+        calls = []
+
+        def counting_validate(poset):
+            calls.append(poset)
+            return validate(poset)
+
+        monkeypatch.setattr("forbidposet.configs.validate", counting_validate)
+        cfg = parse_config(text)
+        assert calls == list(cfg.configs)
+
+    def test_first_bad_poset_reported(self):
+        # an invalid poset is reported before a malformed one after it
+        text = (
+            '{"configs": [{"elements": 2, "relations": [[0,1]], "colors": [2,1]},'
+            ' {"elements": 2, "relations": []}]}'
+        )
+        with pytest.raises(ValueError, match=r"^config #0 invalid \(order-preserving\): "):
+            parse_config(text)
+        with pytest.raises(ValueError, match=r"^config #1: poset field 'colors' required$"):
+            parse_config(text.replace("[2,1]", "[1,2]"))
+
+    def test_direct_configset_names_the_poset(self):
+        good = ColoredPoset.build(2, [(0, 1)], [1, 2])
+        bad = ColoredPoset.build(2, [(0, 1)], [1, 1])
+        with pytest.raises(ValueError, match=r"^config #1 invalid \(order-preserving\): "):
+            ConfigSet((good, bad))
 
     def test_malformed_json(self):
         with pytest.raises(ValueError, match="parse error"):
