@@ -51,7 +51,6 @@ from .detector import (
     verify_embedding,
 )
 from .lattice import (
-    Chain,
     Family,
     GroundSet,
     binomial,
@@ -59,7 +58,6 @@ from .lattice import (
     lub_bound,
     lubell,
     q_value,
-    random_chain,
     sigma,
     tail_ratio,
 )
@@ -77,7 +75,6 @@ __all__ = [
     "AlphaReport",
     "BOUND_IDS",
     "BoundResult",
-    "Chain",
     "ChainSampleReport",
     "ColoredPoset",
     "ConfigId",
@@ -119,7 +116,6 @@ __all__ = [
     "parse_config",
     "parse_config_id",
     "q_value",
-    "random_chain",
     "serialize_config",
     "sigma",
     "tail_ratio",

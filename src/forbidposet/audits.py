@@ -38,39 +38,31 @@ class ChainSampleReport:
     std_error: float
 
 
-def estimate_lubell(family: Family, trials: int, seed: int, workers: int = 1) -> ChainSampleReport:
+def estimate_lubell(family: Family, trials: int, seed: int) -> ChainSampleReport:
     """Mean of |chain ∩ family| over uniformly sampled maximal chains.
 
-    Deterministic given (seed, workers): trials are split across workers and
-    worker i draws from its own generator seeded seed + i, so a parallel
-    driver partitioning by worker reproduces the same stream.  (Execution
-    here is sequential; the partitioning fixes the contract.)
+    Deterministic given the seed: one generator seeded with it shuffles one
+    list of element bits in place per trial, the chain being its prefixes.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     n = family.n
     members = family.member_set
     base = (0 in members) + (family.ground.full_mask in members)
-    bits = [1 << (e - 1) for e in range(1, n + 1)]
+    shuffle = random.Random(seed).shuffle
+    order = [1 << i for i in range(n)]
     total = 0
     total_sq = 0
-    per_worker = [trials // workers + (1 if i < trials % workers else 0) for i in range(workers)]
-    for i, t in enumerate(per_worker):
-        rng = random.Random(seed + i)
-        shuffle = rng.shuffle
-        order = list(bits)
-        for _ in range(t):
-            shuffle(order)
-            hits = base
-            mask = 0
-            for b in order[: n - 1]:
-                mask |= b
-                if mask in members:
-                    hits += 1
-            total += hits
-            total_sq += hits * hits
+    for _ in range(trials):
+        shuffle(order)
+        hits = base
+        mask = 0
+        for b in order[: n - 1]:
+            mask |= b
+            if mask in members:
+                hits += 1
+        total += hits
+        total_sq += hits * hits
     mean = total / trials
     if trials > 1:
         var = max(total_sq - trials * mean * mean, 0.0) / (trials - 1)

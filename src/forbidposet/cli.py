@@ -235,7 +235,7 @@ def _cmd_audit(args, parser):
     seed = None
     if args.kind == "lubell":
         seed = args.seed
-        report = estimate_lubell(family, args.trials, args.seed, args.workers)
+        report = estimate_lubell(family, args.trials, args.seed)
         obj = {
             "command": "audit",
             "kind": "lubell",
@@ -393,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("--trials", type=int, default=100000)
     p_audit.add_argument("--seed", type=int, default=0)
     p_audit.add_argument("--s", type=int, help="fork width for 'fork'")
-    p_audit.add_argument("--workers", type=int, default=1)
     add_format(p_audit)
 
     p_lub = sub.add_parser("lubell", help="exact Lubell function of a family")

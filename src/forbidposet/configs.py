@@ -100,10 +100,13 @@ def validate(poset: ColoredPoset) -> Violation | None:
             return Violation("acyclic", f"element {a} relates to itself (cycle)", (a, a))
         if (b, a) in poset.relation:
             return Violation("acyclic", f"elements {a} and {b} lie on a cycle", (a, b))
+    succ: list[set[int]] = [set() for _ in range(p)]
+    for a, b in poset.relation:
+        succ[a].add(b)
     for a, b in sorted(poset.relation):
-        for c in range(p):
-            if (b, c) in poset.relation and (a, c) not in poset.relation:
-                return Violation("acyclic", f"relation not transitively closed at ({a}, {c})", (a, c))
+        if not succ[b] <= succ[a]:
+            c = min(succ[b] - succ[a])
+            return Violation("acyclic", f"relation not transitively closed at ({a}, {c})", (a, c))
     for c in poset.colors:
         if c < 1:
             return Violation("colors", f"colors must be positive, got {c}")

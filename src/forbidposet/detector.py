@@ -39,38 +39,27 @@ class Embedding:
 
 @lru_cache(maxsize=None)
 def _plan(poset: ColoredPoset):
-    """Per-poset backtracking plan: color classes, the element assignment
-    order (colors ascending, classes together) and each element's position
-    in it, successor lists for domain propagation, and the color pairs that
-    force strictly increasing sizes."""
+    """Per-poset backtracking plan: the element assignment order (colors
+    ascending, classes together), each color's class size and the colors
+    whose sizes it must exceed, successor lists for domain propagation, and
+    for each position the later elements incomparable to its element.
+
+    A valid coloring is order-preserving, so every successor of an element
+    comes later in the order and propagation need not test positions."""
     k = poset.num_colors
-    classes: list[list[int]] = [[] for _ in range(k + 1)]
-    for e, c in enumerate(poset.colors):
-        classes[c].append(e)
-    order = tuple(e for c in range(1, k + 1) for e in classes[c])
-    succs = tuple(
-        tuple(b for b in range(poset.p) if (e, b) in poset.relation) for e in range(poset.p)
-    )
-    incomparable = tuple(
-        tuple(
-            f
-            for f in range(poset.p)
-            if f != e and (e, f) not in poset.relation and (f, e) not in poset.relation
-        )
-        for e in range(poset.p)
-    )
+    colors = poset.colors
+    rel = poset.relation
+    order = tuple(sorted(range(poset.p), key=colors.__getitem__))
+    class_size = (0, *poset.color_class_sizes())
     lower_colors: list[set[int]] = [set() for _ in range(k + 1)]
-    for a, b in poset.relation:
-        lower_colors[poset.colors[b]].add(poset.colors[a])
-    return (
-        k,
-        tuple(tuple(cls) for cls in classes),
-        order,
-        tuple(order.index(e) for e in range(poset.p)),
-        succs,
-        incomparable,
-        tuple(frozenset(s) for s in lower_colors),
+    for a, b in rel:
+        lower_colors[colors[b]].add(colors[a])
+    succs = tuple(tuple(b for b in range(poset.p) if (e, b) in rel) for e in range(poset.p))
+    later_incomparable = tuple(
+        tuple(f for f in order[pos + 1 :] if (e, f) not in rel and (f, e) not in rel)
+        for pos, e in enumerate(order)
     )
+    return order, class_size, tuple(map(frozenset, lower_colors)), succs, later_incomparable
 
 
 def _check_mode(mode: str) -> None:
@@ -119,8 +108,9 @@ def _embeddings(by_size, poset: ColoredPoset, mode: str):
     """
     if poset.p > sum(map(len, by_size.values())):
         return iter(())
-    k, classes, order, pos_of, succs, incomparable, lower_colors = _plan(poset)
+    order, class_size, lower_colors, succs, later_incomparable = _plan(poset)
     p = poset.p
+    k = poset.num_colors
     colors = poset.colors
     avail_sizes = sorted(by_size)
     induced = mode == "induced"
@@ -129,25 +119,21 @@ def _embeddings(by_size, poset: ColoredPoset, mode: str):
     used: set[Mask] = set()
     chosen_size = [-1] * (k + 1)
 
-    def propagate(e: int, mask: Mask, domains, pos: int):
+    def propagate(e: int, mask: Mask, domains, incomparable):
         """Filter the domains of unassigned elements against the new
         placement; None when some domain empties."""
         out = list(domains)
         for f in succs[e]:
-            if pos_of[f] > pos:
-                filtered = [x for x in out[f] if x != mask and (mask & x) == mask]
+            filtered = [x for x in out[f] if x != mask and (mask & x) == mask]
+            if not filtered:
+                return None
+            out[f] = filtered
+        if induced:
+            for f in incomparable:
+                filtered = [x for x in out[f] if (mask & x) != mask and (x & mask) != x]
                 if not filtered:
                     return None
                 out[f] = filtered
-        if induced:
-            for f in incomparable[e]:
-                if pos_of[f] > pos:
-                    filtered = [
-                        x for x in out[f] if (mask & x) != mask and (x & mask) != x
-                    ]
-                    if not filtered:
-                        return None
-                    out[f] = filtered
         return out
 
     def assign(pos: int, domains):
@@ -158,7 +144,7 @@ def _embeddings(by_size, poset: ColoredPoset, mode: str):
         for mask in domains[e]:
             if mask in used:
                 continue
-            narrowed = propagate(e, mask, domains, pos)
+            narrowed = propagate(e, mask, domains, later_incomparable[pos])
             if narrowed is not None:
                 used.add(mask)
                 image[e] = mask
@@ -171,7 +157,7 @@ def _embeddings(by_size, poset: ColoredPoset, mode: str):
             return
         floor = max((chosen_size[c2] for c2 in lower_colors[c]), default=-1)
         for size in avail_sizes:
-            if size > floor and len(by_size.get(size, ())) >= len(classes[c]):
+            if size > floor and len(by_size.get(size, ())) >= class_size[c]:
                 chosen_size[c] = size
                 yield from choose_size(c + 1)
 

@@ -1,6 +1,6 @@
-"""Exact Boolean-lattice primitives: subsets as bitmasks, families, maximal
-chains, binomial sums, the inverse-binomial sum q(k), and the Lubell function
-with its two counting bounds.
+"""Exact Boolean-lattice primitives: subsets as bitmasks, families,
+maximal-chain counts, binomial sums, the inverse-binomial sum q(k), and the
+Lubell function with its two counting bounds.
 
 All values are exact (Python ints / fractions.Fraction); floats appear only in
 Monte-Carlo summaries elsewhere.  Subsets of [n] = {1, ..., n} are n-bit
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -178,36 +177,6 @@ class Family:
         return cls.from_text(text)
 
 
-@dataclass(frozen=True)
-class Chain:
-    """One maximal chain of [n], encoded as a permutation: the set at level i
-    is the first i elements of ``order``."""
-
-    n: int
-    order: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if sorted(self.order) != list(range(1, self.n + 1)):
-            raise ValueError("order must be a permutation of [n]")
-
-    def mask_at(self, i: int) -> Mask:
-        if not 0 <= i <= self.n:
-            raise ValueError(f"level {i} outside [0, {self.n}]")
-        m = 0
-        for e in self.order[:i]:
-            m |= 1 << (e - 1)
-        return m
-
-    def masks(self) -> tuple[Mask, ...]:
-        """All n+1 levels, bottom to top."""
-        out = [0]
-        m = 0
-        for e in self.order:
-            m |= 1 << (e - 1)
-            out.append(m)
-        return tuple(out)
-
-
 # -- arithmetic -------------------------------------------------------------
 
 
@@ -306,15 +275,6 @@ def chains_through(sizes, n: int) -> int:
         prev = s
         first = False
     return count * math.factorial(n - prev)
-
-
-def random_chain(n: int, rng: random.Random) -> Chain:
-    """Uniformly random maximal chain of [n], deterministic given the
-    generator state.  Parallel sampling should partition seeds as
-    seed_i = base_seed + worker_index."""
-    order = list(range(1, n + 1))
-    rng.shuffle(order)
-    return Chain(n, tuple(order))
 
 
 def tail_k(n: int) -> int:

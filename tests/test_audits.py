@@ -53,11 +53,15 @@ class TestEstimateLubell:
         assert a == b
         assert a.mean != c.mean or a.std_error != c.std_error
 
-    def test_worker_partitioning_is_deterministic(self):
+    def test_sample_stream_pinned(self):
+        # kt_construction(6) meets every chain once, so its figures hold for
+        # any stream; the random family's figures pin the stream itself, so a
+        # replayed argv prints what it printed before
+        report = estimate_lubell(kt_construction(6), trials=1000, seed=7)
+        assert (report.mean, report.std_error) == (1.0, 0.0)
         fam = random_family(random.Random(21), 7, max_size=30)
-        a = estimate_lubell(fam, trials=999, seed=5, workers=3)
-        b = estimate_lubell(fam, trials=999, seed=5, workers=3)
-        assert a == b
+        report = estimate_lubell(fam, trials=1000, seed=7)
+        assert (report.mean, report.std_error) == (0.224, 0.014072029776191566)
 
     def test_statistical_agreement(self):
         rng = random.Random(77)

@@ -235,6 +235,11 @@ class TestAuditCommand:
         assert a == b
         assert a["within_5_sigma"] is True
 
+    def test_workers_flag_rejected(self, capsys, tmp_path):
+        path = write_family(tmp_path, kt_construction(6))
+        code, _, err = run_cli(capsys, "audit", "lubell", "--family", path, "--workers", "2")
+        assert code == 2 and "--workers" in err
+
     def test_weighted(self, capsys, tmp_path):
         path = write_family(tmp_path, kt_construction(5))
         code, out, _ = run_cli(capsys, "audit", "weighted", "--family", path)

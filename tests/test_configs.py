@@ -41,6 +41,12 @@ class TestValidate:
         v = validate(raw)
         assert v is not None and v.kind == "acyclic" and v.pair == (0, 2)
 
+    def test_first_unclosed_pair_reported(self):
+        # (0, 1) is closed; (0, 2) misses both 3 and 4, and the smaller is named
+        raw = ColoredPoset(5, frozenset([(0, 1), (0, 2), (2, 3), (2, 4)]), (1, 2, 2, 3, 3))
+        v = validate(raw)
+        assert v is not None and v.kind == "acyclic" and v.pair == (0, 3)
+
     def test_decreasing_colors_rejected(self):
         poset = ColoredPoset.build(2, [(0, 1)], [2, 1])
         v = validate(poset)

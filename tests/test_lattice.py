@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from forbidposet import (
-    Chain,
     Family,
     GroundSet,
     binomial,
@@ -13,7 +12,6 @@ from forbidposet import (
     lub_bound,
     lubell,
     q_value,
-    random_chain,
     sigma,
     tail_ratio,
 )
@@ -181,39 +179,6 @@ class TestChainsThrough:
             chains_through([2, 1], 5)
         with pytest.raises(ValueError):
             chains_through([6], 5)
-
-
-class TestRandomChain:
-    def test_n1_unique_chain(self):
-        c = random_chain(1, random.Random(5))
-        assert c.order == (1,)
-        assert c.masks() == (0, 1)
-
-    def test_deterministic_given_state(self):
-        a = random_chain(3, random.Random(99))
-        b = random_chain(3, random.Random(99))
-        assert a == b
-
-    def test_mask_levels_are_nested(self):
-        c = random_chain(6, random.Random(1))
-        masks = c.masks()
-        assert masks[0] == 0 and masks[-1] == (1 << 6) - 1
-        for lo, hi in zip(masks, masks[1:]):
-            assert lo & hi == lo and hi.bit_count() == lo.bit_count() + 1
-
-    def test_membership_probability(self):
-        # P({1..5} on a random chain of [10]) = 1 / C(10,5)
-        rng = random.Random(424242)
-        target = frozenset(range(1, 6))
-        trials = 10 ** 5
-        hits = sum(1 for _ in range(trials) if set(random_chain(10, rng).order[:5]) == target)
-        p = 1 / math.comb(10, 5)
-        sigma5 = 5 * math.sqrt(p * (1 - p) / trials)
-        assert abs(hits / trials - p) <= sigma5
-
-    def test_bad_permutation_rejected(self):
-        with pytest.raises(ValueError):
-            Chain(3, (1, 1, 2))
 
 
 class TestTailRatio:
