@@ -43,7 +43,6 @@ from .configs import (
 )
 from .constructions import complement_family, diamond_levels, kt_construction, middle_levels
 from .detector import (
-    Embedding,
     count_embeddings,
     find_embedding,
     find_violation,
@@ -52,7 +51,6 @@ from .detector import (
 )
 from .lattice import (
     Family,
-    GroundSet,
     binomial,
     chains_through,
     lub_bound,
@@ -79,10 +77,8 @@ __all__ = [
     "ColoredPoset",
     "ConfigId",
     "ConfigSet",
-    "Embedding",
     "Family",
     "ForkBandReport",
-    "GroundSet",
     "SLemmaReport",
     "SearchProblem",
     "SearchResult",

@@ -22,6 +22,7 @@ ALPHA_GUARD = 8
 ALPHA_ENUM_GUARD = 6
 S_AUDIT_GUARD = 8
 S_RECURSION_GUARD = 12
+MATCH_SIGMAS = 5  # the CLI reports the match as within_5_sigma
 
 # Hypothesis pattern for the S(F) audit: a nested pair plus a third set
 # sharing the bottom's size (B below D, C unrelated, |B| = |C|).
@@ -34,8 +35,8 @@ NESTED_PAIR_WITH_SIZE_TWIN = ConfigSet(
 class ChainSampleReport:
     trials: int
     mean: float
-    exact_target: Fraction
     std_error: float
+    exact_target: Fraction
 
 
 def estimate_lubell(family: Family, trials: int, seed: int) -> ChainSampleReport:
@@ -48,7 +49,7 @@ def estimate_lubell(family: Family, trials: int, seed: int) -> ChainSampleReport
         raise ValueError(f"trials must be >= 1, got {trials}")
     n = family.n
     members = family.member_set
-    base = (0 in members) + (family.ground.full_mask in members)
+    base = (0 in members) + (family.full_mask in members)
     shuffle = random.Random(seed).shuffle
     order = [1 << i for i in range(n)]
     total = 0
@@ -69,7 +70,7 @@ def estimate_lubell(family: Family, trials: int, seed: int) -> ChainSampleReport
         std_error = math.sqrt(var / trials)
     else:
         std_error = 0.0
-    return ChainSampleReport(trials, mean, lubell(family), std_error)
+    return ChainSampleReport(trials, mean, std_error, lubell(family))
 
 
 def weighted_chain_average(family: Family) -> Fraction:
@@ -131,7 +132,7 @@ def compute_S(r_family: Family, f: Mask) -> Fraction:
     members X of the family strictly between f and [n].  Direct form: each
     such X lies on a C(n-|f|, |X|-|f|)-th fraction of those chains."""
     n = r_family.n
-    full = r_family.ground.full_mask
+    full = r_family.full_mask
     fs = f.bit_count()
     total = Fraction(0)
     for x in r_family.members:
@@ -149,7 +150,7 @@ def compute_S_recursive(r_family: Family, f: Mask) -> Fraction:
     n = r_family.n
     if n > S_RECURSION_GUARD:
         raise ValueError(f"recursive S evaluation is limited to n <= {S_RECURSION_GUARD}")
-    full = r_family.ground.full_mask
+    full = r_family.full_mask
     members = r_family.member_set
     memo: dict[Mask, Fraction] = {}
 
@@ -212,7 +213,7 @@ def audit_S_lemma(r_family: Family) -> SLemmaReport:
     if not s_hypothesis_holds(r_family):
         raise ValueError("hypothesis failed: nested pair with an equal-size third set present")
     m = n // 2
-    full = r_family.ground.full_mask
+    full = r_family.full_mask
     entries = []
     for f in range(full):
         direct = compute_S(r_family, f)
@@ -291,7 +292,7 @@ def chains_avoiding_family(family: Family) -> int:
     n = family.n
     if n > 20:
         raise ValueError("chain-avoidance DP is limited to n <= 20")
-    full = family.ground.full_mask
+    full = family.full_mask
     members = family.member_set
     ways = [0] * (full + 1)
     ways[0] = 0 if 0 in members else 1
@@ -322,7 +323,7 @@ def alpha_audit(family: Family) -> AlphaReport:
         raise ValueError(f"alpha audit requires even n, got {n}")
     if n > ALPHA_GUARD:
         raise ValueError(f"alpha audit is limited to n <= {ALPHA_GUARD}")
-    if 0 in family.member_set or family.ground.full_mask in family.member_set:
+    if 0 in family.member_set or family.full_mask in family.member_set:
         raise ValueError("precondition failed: empty set and full set must not be members")
     if not is_avoiding(family, build_named("kt_pair")):
         raise ValueError("precondition failed: family must avoid the equal-size fork pair")
@@ -377,10 +378,10 @@ def alpha_counts_by_enumeration(family: Family) -> tuple[dict[Mask, int], int]:
     return counts, unassigned
 
 
-def estimate_matches_exact(report: ChainSampleReport, sigmas: float = 5.0) -> bool:
-    """Whether the sampled mean is within the given number of standard errors
-    of the exact Lubell value (degenerate samples must match exactly)."""
+def estimate_matches_exact(report: ChainSampleReport) -> bool:
+    """Whether the sampled mean is within MATCH_SIGMAS standard errors of the
+    exact Lubell value (degenerate samples must match exactly)."""
     target = float(report.exact_target)
     if report.std_error == 0.0:
         return report.mean == target
-    return abs(report.mean - target) <= sigmas * report.std_error
+    return abs(report.mean - target) <= MATCH_SIGMAS * report.std_error

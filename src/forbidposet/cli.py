@@ -33,11 +33,16 @@ from .bounds import EXACT, bound_params, evaluate_bound
 from .configs import build_named, load_config, parse_config_id
 from .constructions import complement_family, diamond_levels, kt_construction, middle_levels
 from .detector import find_violation
-from .lattice import Family, elems_of, lubell
+from .lattice import Family, elems_of, lubell, set_text
 from .search import EXACT_STATUS_GUARD, SearchProblem, exact_max_family
 
-def _rat(x) -> str:
-    return str(Fraction(x))
+def _json_default(x):
+    """Exact rationals print as "p/q" strings, families as their JSON object."""
+    return str(x) if isinstance(x, Fraction) else Family.to_json_obj(x)
+
+
+def _sets(masks) -> list[list[int]]:
+    return [list(elems_of(m)) for m in masks]
 
 
 def _read_input(path: str) -> tuple[str, dict]:
@@ -96,7 +101,7 @@ def _cmd_bound(args, parser):
         "command": "bound",
         "id": args.id,
         "params": params,
-        "value": _rat(res.value),
+        "value": res.value,
         "exactness": res.exactness,
         "validity": res.validity,
         "source": res.source,
@@ -156,13 +161,12 @@ def _cmd_check(args, parser):
         "violation": None,
     }
     if hit is not None:
-        idx, emb = hit
-        poset = configs.configs[idx]
+        idx, assignment = hit
         obj["violation"] = {
             "poset_index": idx,
-            "poset_name": poset.name,
-            "assignment": list(emb.assignment),
-            "sets": [list(elems_of(m)) for m in emb.masks(family)],
+            "poset_name": configs.configs[idx].name,
+            "assignment": list(assignment),
+            "sets": _sets(family.members[i] for i in assignment),
         }
     return obj, [digest] + cfg_inputs, None
 
@@ -171,7 +175,7 @@ def _check_text(obj) -> list[str]:
     lines = [f"avoiding: {str(obj['avoiding']).lower()}"]
     if obj["violation"] is not None:
         v = obj["violation"]
-        sets = "; ".join(",".join(map(str, s)) if s else "-" for s in v["sets"])
+        sets = "; ".join(map(set_text, v["sets"]))
         lines.append(f"violation: poset #{v['poset_index']} ({v['poset_name']}) -> {sets}")
     return lines
 
@@ -214,7 +218,7 @@ def _cmd_search(args, parser):
         "mode": problem.mode,
         "best_size": result.best_size,
         "status": result.status,
-        "witness": result.witness.to_json_obj(),
+        "witness": result.witness,
         "nodes": result.nodes_explored,
         "prunes": result.prunes,
         "wall_time": wall,
@@ -226,7 +230,7 @@ def _search_text(obj) -> list[str]:
     return [
         f"best_size: {obj['best_size']} ({obj['status']})",
         f"nodes: {obj['nodes']}, prunes: {obj['prunes']}, wall_time: {obj['wall_time']:.3f}s",
-        "witness: " + " ".join(",".join(map(str, s)) if s else "-" for s in obj["witness"]["sets"]),
+        "witness: " + " ".join(map(set_text, obj["witness"].sets())),
     ]
 
 
@@ -239,10 +243,7 @@ def _cmd_audit(args, parser):
         obj = {
             "command": "audit",
             "kind": "lubell",
-            "trials": report.trials,
-            "mean": report.mean,
-            "std_error": report.std_error,
-            "exact_target": _rat(report.exact_target),
+            **vars(report),
             "within_5_sigma": estimate_matches_exact(report),
         }
     elif args.kind == "weighted":
@@ -250,7 +251,7 @@ def _cmd_audit(args, parser):
         obj = {
             "command": "audit",
             "kind": "weighted",
-            "value": _rat(value),
+            "value": value,
             "family_size": len(family),
             "identity_holds": value == len(family),
         }
@@ -258,34 +259,19 @@ def _cmd_audit(args, parser):
         if args.s is None:
             parser.error("audit fork requires --s")
         report = audit_fork_lambda(family, args.s)
-        obj = {
-            "command": "audit",
-            "kind": "fork",
-            "s": report.s,
-            "k": report.k,
-            "band_size": report.band_size,
-            "lambda_band": _rat(report.lambda_band),
-            "main_bound": _rat(report.main_bound),
-            "smallest_c": _rat(report.smallest_c),
-            "hard_bound": _rat(report.hard_bound),
-            "passed": report.passed,
-        }
+        obj = {"command": "audit", "kind": "fork", **vars(report)}
     elif args.kind == "slemma":
         report = audit_S_lemma(family)
-        failures = [list(elems_of(e.mask)) for e in report.entries if not e.ok]
         obj = {
             "command": "audit",
             "kind": "slemma",
             "n": report.n,
             "subsets_checked": len(report.entries),
             "passed": report.passed,
-            "failures": failures,
+            "failures": _sets(e.mask for e in report.entries if not e.ok),
         }
     else:  # alpha
         report = alpha_audit(family)
-        counts = [
-            {"set": list(elems_of(mask)), "count": count} for mask, count in report.counts.items()
-        ]
         obj = {
             "command": "audit",
             "kind": "alpha",
@@ -293,15 +279,17 @@ def _cmd_audit(args, parser):
             "threshold": report.threshold,
             "assigned_total": report.assigned_total,
             "unassigned": report.unassigned,
-            "exceptions": [list(elems_of(m)) for m in report.exceptions],
-            "unexpected_below": [list(elems_of(m)) for m in report.unexpected_below],
-            "counts": counts,
+            "exceptions": _sets(report.exceptions),
+            "unexpected_below": _sets(report.unexpected_below),
+            "counts": [
+                {"set": s, "count": c} for s, c in zip(_sets(report.counts), report.counts.values())
+            ],
         }
     return obj, [digest], seed
 
 
 def _audit_text(obj) -> list[str]:
-    skip = {"command", "kind", "counts"}
+    skip = {"command", "kind", "counts", "run"}
     lines = [f"audit {obj['kind']}:"]
     for key, val in obj.items():
         if key not in skip:
@@ -315,7 +303,7 @@ def _cmd_lubell(args, parser):
         "command": "lubell",
         "n": family.n,
         "size": len(family),
-        "value": _rat(lubell(family)),
+        "value": lubell(family),
     }
     return obj, [digest], None
 
@@ -416,7 +404,7 @@ def main(argv=None) -> int:
         obj, inputs, seed = handler(args, parser)
         obj["run"] = _run_record(argv, seed, inputs, time.monotonic() - start)
         if args.format == "structured":
-            print(json.dumps(obj, default=Family.to_json_obj))
+            print(json.dumps(obj, default=_json_default))
         else:
             for line in text_lines(obj):
                 print(line)

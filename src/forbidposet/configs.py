@@ -92,20 +92,24 @@ def validate(poset: ColoredPoset) -> Violation | None:
         return Violation("elements", f"poset must have at least 1 element, got {p}")
     if len(poset.colors) != p:
         return Violation("colors", f"expected {p} colors, got {len(poset.colors)}")
-    for a, b in sorted(poset.relation):
+    pairs = sorted(poset.relation)
+    for a, b in pairs:
         if not (0 <= a < p and 0 <= b < p):
             return Violation("elements", f"relation pair ({a}, {b}) out of range", (a, b))
-    for a, b in sorted(poset.relation):
+    for a, b in pairs:
         if a == b:
             return Violation("acyclic", f"element {a} relates to itself (cycle)", (a, a))
         if (b, a) in poset.relation:
             return Violation("acyclic", f"elements {a} and {b} lie on a cycle", (a, b))
-    succ: list[set[int]] = [set() for _ in range(p)]
-    for a, b in poset.relation:
-        succ[a].add(b)
-    for a, b in sorted(poset.relation):
-        if not succ[b] <= succ[a]:
-            c = min(succ[b] - succ[a])
+    # successor rows as bitmasks: a pair (a, b) is closed iff succ[b] is a
+    # subset of succ[a], and the lowest missing bit names the smallest c
+    succ = [0] * p
+    for a, b in pairs:
+        succ[a] |= 1 << b
+    for a, b in pairs:
+        missing = succ[b] & ~succ[a]
+        if missing:
+            c = (missing & -missing).bit_length() - 1
             return Violation("acyclic", f"relation not transitively closed at ({a}, {c})", (a, c))
     for c in poset.colors:
         if c < 1:
@@ -114,7 +118,7 @@ def validate(poset: ColoredPoset) -> Violation | None:
     for c in range(1, max(used) + 1):
         if c not in used:
             return Violation("colors", f"color {c} unused (colors must cover 1..k)")
-    for a, b in sorted(poset.relation):
+    for a, b in pairs:
         if poset.colors[a] >= poset.colors[b]:
             return Violation(
                 "order-preserving",
@@ -299,6 +303,8 @@ def poset_from_obj(obj) -> ColoredPoset:
     # to validate, which names it
     if p >= 1 and len(colors) != p:
         raise ValueError(f"poset field 'colors' needs one color per element: expected {p}, got {len(colors)}")
+    if not isinstance(obj.get("name", ""), str):
+        raise ValueError(f"poset field 'name' must be a string, got {obj['name']!r}")
     return ColoredPoset.build(p, pairs, colors, obj.get("name"))
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .lattice import Family, GroundSet, binomial, mask_of
+from .lattice import Family, binomial, ground_mask, mask_of
 
 
 def middle_levels(n: int, r: int) -> Family:
@@ -13,7 +13,7 @@ def middle_levels(n: int, r: int) -> Family:
     the family realizing the sum of the r largest binomial coefficients."""
     if not 1 <= r <= n + 1:
         raise ValueError(f"r must be in [1, {n + 1}], got {r}")
-    GroundSet(n)  # first: past its guard the enumeration below would never finish
+    ground_mask(n)  # first: past its guard the enumeration below would never finish
     lo = (n - r + 1) // 2
     hi = (n + r + 1) // 2 - 1
     masks = []
@@ -31,7 +31,7 @@ def kt_construction(n: int) -> Family:
     makes the choice immaterial."""
     if n < 2:
         raise ValueError(f"kt_construction requires n >= 2, got {n}")
-    GroundSet(n)  # first: past its guard the enumeration below would never finish
+    ground_mask(n)  # first: past its guard the enumeration below would never finish
     low, high = n // 2, (n + 1) // 2
     masks = []
     for combo in combinations(range(2, n + 1), low):
@@ -62,5 +62,5 @@ def diamond_levels(n: int, m: int) -> Family:
 
 def complement_family(family: Family) -> Family:
     """{[n] \\ F : F in family}; involutive."""
-    full = family.ground.full_mask
+    full = family.full_mask
     return Family(family.n, (full ^ m for m in family.members))

@@ -15,7 +15,6 @@ Finding one embedding takes the first item; counting exhausts the generator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .configs import ColoredPoset, ConfigSet
@@ -25,16 +24,6 @@ COUNT_FAMILY_GUARD = 4096
 COUNT_POSET_GUARD = 8
 
 _MODES = ("standard", "induced")
-
-
-@dataclass(frozen=True)
-class Embedding:
-    """Witness assignment: poset element index -> index into family.members."""
-
-    assignment: tuple[int, ...]
-
-    def masks(self, family) -> tuple[Mask, ...]:
-        return tuple(family.members[i] for i in self.assignment)
 
 
 @lru_cache(maxsize=None)
@@ -176,8 +165,9 @@ def _hits_with_member(by_size, configs: ConfigSet, mode: str) -> bool:
     return any(_search(by_size, poset, mode) is not None for poset in configs)
 
 
-def find_embedding(family, poset: ColoredPoset, mode: str = "standard") -> Embedding | None:
-    """First embedding of the poset into the family, or None.  The witness is
+def find_embedding(family, poset: ColoredPoset, mode: str = "standard") -> tuple[int, ...] | None:
+    """First embedding of the poset into the family as its assignment (poset
+    element -> index into family.members), or None.  The witness is
     re-verified against all invariants before return."""
     _check_mode(mode)
     hit = _search(family.by_size, poset, mode)
@@ -185,7 +175,7 @@ def find_embedding(family, poset: ColoredPoset, mode: str = "standard") -> Embed
         return None
     assignment = tuple(map(family.members.index, hit))
     assert verify_embedding(family, poset, mode, assignment), "detector returned an invalid witness"
-    return Embedding(assignment)
+    return assignment
 
 
 def count_embeddings(family, poset: ColoredPoset, mode: str = "standard") -> int:
@@ -205,11 +195,12 @@ def is_avoiding(family, configs: ConfigSet, mode: str = "standard") -> bool:
 
 
 def find_violation(family, configs: ConfigSet, mode: str = "standard"):
-    """(poset index, Embedding) for the first embeddable member, or None."""
+    """(poset index, assignment) for the first embeddable member, or None;
+    the assignment is as ``find_embedding`` returns it."""
     _check_mode(mode)
     for i, poset in enumerate(configs):
-        emb = find_embedding(family, poset, mode)
-        if emb is not None:
-            return i, emb
+        assignment = find_embedding(family, poset, mode)
+        if assignment is not None:
+            return i, assignment
     return None
 

@@ -5,14 +5,14 @@ Lubell function with its two counting bounds.
 All values are exact (Python ints / fractions.Fraction); floats appear only in
 Monte-Carlo summaries elsewhere.  Subsets of [n] = {1, ..., n} are n-bit
 machine words (bit i-1 set iff element i is present), which caps the ground
-set at n = 64.
+set at n = 64: ``ground_mask(n)``, the mask of [n] itself, raises ValueError
+unless 1 <= n <= 64, and every Family is built through it.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 Mask = int
@@ -21,19 +21,11 @@ MAX_GROUND = 64
 MAX_BINOMIAL_N = 10 ** 4
 
 
-@dataclass(frozen=True)
-class GroundSet:
-    """The base set [n] = {1, ..., n}."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_GROUND:
-            raise ValueError(f"ground set size must be in [1, {MAX_GROUND}], got {self.n}")
-
-    @property
-    def full_mask(self) -> Mask:
-        return (1 << self.n) - 1
+def ground_mask(n: int) -> Mask:
+    """Bitmask of the whole ground set [n] = {1, ..., n}."""
+    if not 1 <= n <= MAX_GROUND:
+        raise ValueError(f"ground set size must be in [1, {MAX_GROUND}], got {n}")
+    return (1 << n) - 1
 
 
 def mask_of(elems, n: int) -> Mask:
@@ -58,6 +50,11 @@ def elems_of(mask: Mask) -> tuple[int, ...]:
     return tuple(out)
 
 
+def set_text(elems) -> str:
+    """One set as the family text format writes it: "1,3", or "-" if empty."""
+    return ",".join(map(str, elems)) if elems else "-"
+
+
 class Family:
     """Deduplicated ordered collection of subsets of [n].
 
@@ -66,11 +63,11 @@ class Family:
     construction.
     """
 
-    __slots__ = ("ground", "members", "member_set", "by_size")
+    __slots__ = ("n", "full_mask", "members", "member_set", "by_size")
 
     def __init__(self, n: int, masks=()):
-        self.ground = GroundSet(n)
-        full = self.ground.full_mask
+        self.full_mask = full = ground_mask(n)
+        self.n = n
         seen: dict[Mask, None] = {}
         for m in masks:
             if m < 0 or m & ~full:
@@ -87,10 +84,6 @@ class Family:
     @classmethod
     def from_sets(cls, n: int, sets) -> "Family":
         return cls(n, (mask_of(s, n) for s in sets))
-
-    @property
-    def n(self) -> int:
-        return self.ground.n
 
     def __len__(self) -> int:
         return len(self.members)
@@ -122,9 +115,7 @@ class Family:
     # -- serialization ------------------------------------------------------
 
     def to_text(self) -> str:
-        lines = [f"n={self.n}"]
-        for m in self.members:
-            lines.append(",".join(map(str, elems_of(m))) if m else "-")
+        lines = [f"n={self.n}", *(set_text(elems_of(m)) for m in self.members)]
         return "\n".join(lines) + "\n"
 
     @classmethod

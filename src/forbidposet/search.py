@@ -36,13 +36,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from math import floor
 
 from .bounds import EXACT, BoundResult
 from .configs import ConfigSet
 from .detector import _check_mode, _hits_with_member, is_avoiding
-from .lattice import Family, GroundSet, Mask
+from .lattice import Family, Mask, ground_mask
 
 PROVEN_OPTIMAL = "proven-optimal"
 LOWER_BOUND_ONLY = "lower-bound-only"
@@ -58,16 +57,16 @@ class SearchProblem:
     configs: ConfigSet
     mode: str = "standard"
     symmetry: bool = True
-    theorem_bound: BoundResult | Fraction | int | None = None
+    theorem_bound: BoundResult | None = None
     time_limit: float | None = None
     include_empty_and_full: bool = True
 
     def __post_init__(self) -> None:
-        GroundSet(self.n)
+        ground_mask(self.n)
         _check_mode(self.mode)
         if self.n > SEARCH_GROUND_GUARD:
             raise ValueError(f"search enumerates all 2^n subsets; limited to n <= {SEARCH_GROUND_GUARD}")
-        if self.time_limit is not None and self.time_limit <= 0:
+        if self.time_limit is not None and not self.time_limit > 0:
             raise ValueError("time_limit must be positive")
 
 
@@ -88,23 +87,23 @@ def candidate_order(n: int, include_empty_and_full: bool = True) -> list[Mask]:
     return masks
 
 
-def _bound_target(theorem_bound, n: int) -> int | None:
+def _bound_target(theorem_bound: BoundResult | None, n: int) -> int | None:
     if theorem_bound is None:
         return None
-    if isinstance(theorem_bound, BoundResult):
-        if theorem_bound.n != n:
-            raise ValueError(f"theorem bound was evaluated at n={theorem_bound.n}, not at n={n}")
-        if theorem_bound.exactness != EXACT:
-            raise ValueError("only exact bounds can gate the search")
-        if theorem_bound.validity != "ok":
-            raise ValueError(f"theorem bound cannot gate the search: {theorem_bound.validity}")
-        return floor(theorem_bound.value)
-    return floor(Fraction(theorem_bound))
+    if theorem_bound.n != n:
+        raise ValueError(f"theorem bound was evaluated at n={theorem_bound.n}, not at n={n}")
+    if theorem_bound.exactness != EXACT:
+        raise ValueError("only exact bounds can gate the search")
+    if theorem_bound.validity != "ok":
+        raise ValueError(f"theorem bound cannot gate the search: {theorem_bound.validity}")
+    return floor(theorem_bound.value)
 
 
 class _Stop(Exception):
-    def __init__(self, reason: str):
-        self.reason = reason
+    """Ends the search early with the result status it carries."""
+
+    def __init__(self, status: str):
+        self.status = status
 
 
 class _Searcher:
@@ -141,7 +140,7 @@ class _Searcher:
             self.best_size = cur
             self.best_members = tuple(self.members)
             if self.target is not None and self.best_size >= self.target:
-                raise _Stop("theorem")
+                raise _Stop(OPTIMAL_ASSUMING_THEOREM)
 
     def orbit_key(self):
         """Key whose classes are the orbits branched on at this node."""
@@ -159,7 +158,7 @@ class _Searcher:
         orbits handled before it."""
         self.nodes += 1
         if self.deadline is not None and time.monotonic() > self.deadline:
-            raise _Stop("timeout")
+            raise _Stop(LOWER_BOUND_ONLY)
         self.record_if_better()
         key = self.orbit_key()
         while viable:
@@ -174,13 +173,14 @@ class _Searcher:
             viable = [d for d in rest if key(d) != k]
 
     def run_root(self) -> str:
+        """Search the whole tree and return the result status."""
         problem = self.problem
         candidates = candidate_order(problem.n, problem.include_empty_and_full)
         try:
             self.branch([d for d in candidates if self.addable(d)])
         except _Stop as stop:
-            return stop.reason
-        return "exhausted"
+            return stop.status
+        return PROVEN_OPTIMAL if problem.n <= EXACT_STATUS_GUARD else LOWER_BOUND_ONLY
 
 
 def exact_max_family(problem: SearchProblem) -> SearchResult:
@@ -193,15 +193,7 @@ def exact_max_family(problem: SearchProblem) -> SearchResult:
     supplied exact bound yields optimal-assuming-theorem.
     """
     searcher = _Searcher(problem)
-    outcome = searcher.run_root()
-    if outcome == "timeout":
-        status = LOWER_BOUND_ONLY
-    elif outcome == "theorem":
-        status = OPTIMAL_ASSUMING_THEOREM
-    elif problem.n <= EXACT_STATUS_GUARD:
-        status = PROVEN_OPTIMAL
-    else:
-        status = LOWER_BOUND_ONLY
+    status = searcher.run_root()
     witness = Family(problem.n, searcher.best_members)
     result = SearchResult(searcher.best_size, witness, status, searcher.nodes, searcher.prunes)
     assert verify_witness(result, problem), "witness failed re-verification"

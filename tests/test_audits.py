@@ -222,7 +222,7 @@ class TestAlphaAudit:
         while checked < 25:
             n = rng.choice((2, 4, 6))
             fam = random_family(rng, n, max_size=10)
-            full = fam.ground.full_mask
+            full = fam.full_mask
             if 0 in fam.member_set or full in fam.member_set or len(fam) == 0:
                 continue
             if not is_avoiding(fam, kt):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -145,6 +146,8 @@ class TestCheckCommand:
             ("--family", {"n": None, "sets": []}),
             ("--family", {"n": 4, "sets": [1, 2]}),
             ("--config", {"configs": [{"elements": 3, "relations": 5, "colors": [1, 2, 2]}]}),
+            ("--config", {"elements": 2, "relations": [[0, 1]], "colors": [1, 2], "name": [1]}),
+            ("--config", {"elements": 2, "relations": [[0, 1]], "colors": [1, 2], "name": 7}),
         ],
     )
     def test_malformed_json_input_is_domain_error(self, capsys, tmp_path, option, doc):
@@ -283,6 +286,114 @@ class TestLubellCommand:
         code, out, _ = run_cli(capsys, "lubell", "--family", path)
         obj = json.loads(out)
         assert code == 0 and obj["value"] == "2/3"
+
+
+TEXT_FAMILIES = {
+    "kt4": kt_construction(4),
+    "kt5": kt_construction(5),
+    "kt6": kt_construction(6),
+    "kt8": kt_construction(8),
+    "kt_up": Family.from_sets(2, [[], [1], [2]]),
+    "top3": Family.from_sets(4, [[1, 2, 3]]),
+    "pair": Family.from_sets(3, [[1], [1, 2]]),
+}
+
+
+class TestTextFormat:
+    """Every text renderer, line for line; {name} is the path of
+    TEXT_FAMILIES[name] and search's wall time is masked."""
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["check", "--family", "{kt6}", "--config", "kt_pair"], ["avoiding: true"]),
+            (
+                ["check", "--family", "{kt_up}", "--config", "kt_pair"],
+                ["avoiding: false", "violation: poset #0 (kt_pair_up) -> -; 1; 2"],
+            ),
+            (
+                ["search", "--n", "3", "--config", "kt_pair"],
+                [
+                    "best_size: 4 (proven-optimal)",
+                    "nodes: 10, prunes: 6, wall_time: *",
+                    "witness: 1 2 1,3 2,3",
+                ],
+            ),
+            (
+                ["audit", "lubell", "--family", "{pair}", "--trials", "1000", "--seed", "7"],
+                [
+                    "audit lubell:",
+                    "  trials: 1000",
+                    "  mean: 0.641",
+                    "  std_error: 0.02350897002575127",
+                    "  exact_target: 2/3",
+                    "  within_5_sigma: True",
+                ],
+            ),
+            (
+                ["audit", "weighted", "--family", "{kt5}"],
+                ["audit weighted:", "  value: 12", "  family_size: 12", "  identity_holds: True"],
+            ),
+            (
+                ["audit", "fork", "--family", "{kt8}", "--s", "2"],
+                [
+                    "audit fork:",
+                    "  s: 2",
+                    "  k: 9",
+                    "  band_size: 70",
+                    "  lambda_band: 1",
+                    "  main_bound: 5/4",
+                    "  smallest_c: 0",
+                    "  hard_bound: 5/2",
+                    "  passed: True",
+                ],
+            ),
+            (
+                ["audit", "slemma", "--family", "{top3}"],
+                [
+                    "audit slemma:",
+                    "  n: 4",
+                    "  subsets_checked: 15",
+                    "  passed: True",
+                    "  failures: []",
+                ],
+            ),
+            (
+                ["audit", "alpha", "--family", "{kt4}"],
+                [
+                    "audit alpha:",
+                    "  m: 2",
+                    "  threshold: 4",
+                    "  assigned_total: 24",
+                    "  unassigned: 0",
+                    "  exceptions: []",
+                    "  unexpected_below: []",
+                ],
+            ),
+            (["lubell", "--family", "{pair}"], ["lubell = 2/3  (n=3, size=2)"]),
+        ],
+        ids=[
+            "check-avoiding",
+            "check-violation",
+            "search",
+            "audit-lubell",
+            "audit-weighted",
+            "audit-fork",
+            "audit-slemma",
+            "audit-alpha",
+            "lubell",
+        ],
+    )
+    def test_golden_lines(self, capsys, tmp_path, argv, expected):
+        paths = {
+            name: write_family(tmp_path, fam, name=f"{name}.txt")
+            for name, fam in TEXT_FAMILIES.items()
+        }
+        argv = [arg.format(**paths) for arg in argv]
+        code, out, err = run_cli(capsys, *argv, "--format", "text")
+        assert (code, err) == (0, "")
+        out = re.sub(r"wall_time: \d+\.\d{3}s", "wall_time: *", out)
+        assert out.splitlines() == expected
 
 
 class TestReplayAndSchema:

@@ -40,9 +40,9 @@ class TestFindEmbedding:
         fam = Family.from_sets(2, [[], [1], [2]])
         emb = find_embedding(fam, KT_UP)
         assert emb is not None
-        masks = emb.masks(fam)
+        masks = [fam.members[i] for i in emb]
         assert masks[0] == 0 and {masks[1], masks[2]} == {0b01, 0b10}
-        assert verify_embedding(fam, KT_UP, "standard", emb.assignment)
+        assert verify_embedding(fam, KT_UP, "standard", emb)
 
     def test_two_middle_levels_have_no_j(self):
         fam = two_middle_levels_of_4()
@@ -128,7 +128,7 @@ class TestSoundnessAndMonotonicity:
                 for mode in ("standard", "induced"):
                     emb = find_embedding(fam, poset, mode)
                     if emb is not None:
-                        assert verify_embedding(fam, poset, mode, emb.assignment), label
+                        assert verify_embedding(fam, poset, mode, emb), label
 
     def test_monotone_in_standard_mode(self):
         rng = random.Random(6)
@@ -151,7 +151,7 @@ class TestComplementDuality:
         for _ in range(150):
             n = rng.randint(2, 5)
             fam = random_family(rng, n, max_size=12)
-            comp = Family(n, [fam.ground.full_mask ^ m for m in fam.members])
+            comp = Family(n, [fam.full_mask ^ m for m in fam.members])
             label, cfg = roster[rng.randrange(len(roster))]
             assert is_avoiding(fam, cfg) == is_avoiding(comp, cfg.dual()), label
 

@@ -6,7 +6,6 @@ import pytest
 
 from forbidposet import (
     Family,
-    GroundSet,
     binomial,
     chains_through,
     lub_bound,
@@ -17,6 +16,7 @@ from forbidposet import (
 )
 from forbidposet.lattice import (
     elems_of,
+    ground_mask,
     mask_of,
     powerset_family,
     q_value_direct,
@@ -205,9 +205,9 @@ class TestTailRatio:
 class TestFamily:
     def test_ground_set_bounds(self):
         with pytest.raises(ValueError):
-            GroundSet(0)
+            ground_mask(0)
         with pytest.raises(ValueError):
-            GroundSet(65)
+            ground_mask(65)
 
     def test_dedup_keeps_first_occurrence(self):
         fam = Family(3, [0b011, 0b001, 0b011])

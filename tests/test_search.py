@@ -267,6 +267,8 @@ class TestStatusesAndOptions:
     def test_time_limit_validated(self):
         with pytest.raises(ValueError):
             SearchProblem(n=3, configs=build_named("kt_pair"), time_limit=0)
+        with pytest.raises(ValueError):
+            SearchProblem(n=3, configs=build_named("kt_pair"), time_limit=float("nan"))
 
     def test_exclude_empty_and_full(self):
         cfg = build_named("chain", 2)
