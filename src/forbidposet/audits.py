@@ -329,15 +329,15 @@ def alpha_audit(family: Family) -> AlphaReport:
         raise ValueError("precondition failed: family must avoid the equal-size fork pair")
     m = n // 2
     keys = [_size_distance_key(s, m) for s in range(n + 1)]
-    assert len(set(keys)) == len(keys), "closest-size rule must be tie-free"
+    if len(set(keys)) != len(keys):
+        raise RuntimeError("closest-size rule must be tie-free")
     threshold = math.factorial(m) ** 2
     counts: dict[Mask, int] = {}
     for f in family.members:
         counts[f] = _chains_through_avoiding(f, _interfering_sets(family, f, m, n), n)
     unassigned = chains_avoiding_family(family)
-    assert sum(counts.values()) + unassigned == math.factorial(n), (
-        "ownership counts and untouched chains must partition all n! chains"
-    )
+    if sum(counts.values()) + unassigned != math.factorial(n):
+        raise RuntimeError("ownership counts and untouched chains must partition all n! chains")
     exceptions = tuple(
         f for f in family.members if f.bit_count() == m - 1 and counts[f] < threshold
     )

@@ -11,11 +11,22 @@ ascending order (each color commits to one set size, so the equal-size
 constraint becomes a loop over at most n+1 size values) and elements within
 a color together, and yields each embedding as the tuple of image masks.
 Finding one embedding takes the first item; counting exhausts the generator.
+
+Twins are elements with the same color, predecessors and successors; swapping
+two of them is a poset automorphism.  The generator yields only the
+embeddings whose twins take their images in the order of the size index, one
+per orbit of the twin permutations, so an avoiding verdict does not walk the
+k! orderings of a class of k twins.  The first embedding in backtracking
+order is always one of these, and ``count_embeddings`` multiplies by the
+product of k! over twin classes, which is exact because permuting twins
+never maps an injective embedding to itself.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import factorial, prod
+from typing import NamedTuple
 
 from .configs import ColoredPoset, ConfigSet
 from .lattice import Mask
@@ -26,12 +37,23 @@ COUNT_POSET_GUARD = 8
 _MODES = ("standard", "induced")
 
 
+class _Plan(NamedTuple):
+    order: tuple[int, ...]
+    class_size: tuple[int, ...]
+    lower_colors: tuple[frozenset[int], ...]
+    succs: tuple[tuple[int, ...], ...]
+    later_incomparable: tuple[tuple[int, ...], ...]
+    next_twin: tuple[int, ...]
+    twin_factor: int
+
+
 @lru_cache(maxsize=None)
-def _plan(poset: ColoredPoset):
+def _plan(poset: ColoredPoset) -> _Plan:
     """Per-poset backtracking plan: the element assignment order (colors
     ascending, classes together), each color's class size and the colors
-    whose sizes it must exceed, successor lists for domain propagation, and
-    for each position the later elements incomparable to its element.
+    whose sizes it must exceed, successor lists for domain propagation, for
+    each position the later elements incomparable to its element and the
+    next later twin (-1 if none), and the product of k! over twin classes.
 
     A valid coloring is order-preserving, so every successor of an element
     comes later in the order and propagation need not test positions."""
@@ -41,14 +63,23 @@ def _plan(poset: ColoredPoset):
     order = tuple(sorted(range(poset.p), key=colors.__getitem__))
     class_size = (0, *poset.color_class_sizes())
     lower_colors: list[set[int]] = [set() for _ in range(k + 1)]
+    preds: list[set[int]] = [set() for _ in range(poset.p)]
     for a, b in rel:
         lower_colors[colors[b]].add(colors[a])
+        preds[b].add(a)
     succs = tuple(tuple(b for b in range(poset.p) if (e, b) in rel) for e in range(poset.p))
     later_incomparable = tuple(
         tuple(f for f in order[pos + 1 :] if (e, f) not in rel and (f, e) not in rel)
         for pos, e in enumerate(order)
     )
-    return order, class_size, tuple(map(frozenset, lower_colors)), succs, later_incomparable
+    twins: dict[tuple, list[int]] = {}
+    for e in order:
+        twins.setdefault((colors[e], frozenset(preds[e]), succs[e]), []).append(e)
+    later_twin = {e: f for cls in twins.values() for e, f in zip(cls, cls[1:])}
+    next_twin = tuple(later_twin.get(e, -1) for e in order)
+    twin_factor = prod(factorial(len(cls)) for cls in twins.values())
+    lower = tuple(map(frozenset, lower_colors))
+    return _Plan(order, class_size, lower, succs, later_incomparable, next_twin, twin_factor)
 
 
 def _check_mode(mode: str) -> None:
@@ -94,10 +125,16 @@ def _embeddings(by_size, poset: ColoredPoset, mode: str):
     color order while propagating each placement into the candidate domains
     of the unassigned elements.  The propagation is what keeps large
     single-size levels from turning into cartesian scans.
+
+    Placing an element at index i of its domain restricts its next twin to
+    the entries after i.  That is sound because every placement filters
+    twins alike (same predecessors, and in induced mode the same
+    comparabilities), so the element's domain list is a suffix of its
+    twin's; the twins' images therefore follow the size index's order.
     """
     if poset.p > sum(map(len, by_size.values())):
         return iter(())
-    order, class_size, lower_colors, succs, later_incomparable = _plan(poset)
+    order, class_size, lower_colors, succs, later_incomparable, next_twin, _ = _plan(poset)
     p = poset.p
     k = poset.num_colors
     colors = poset.colors
@@ -108,10 +145,9 @@ def _embeddings(by_size, poset: ColoredPoset, mode: str):
     used: set[Mask] = set()
     chosen_size = [-1] * (k + 1)
 
-    def propagate(e: int, mask: Mask, domains, incomparable):
-        """Filter the domains of unassigned elements against the new
-        placement; None when some domain empties."""
-        out = list(domains)
+    def propagate(e: int, mask: Mask, out, incomparable):
+        """Filter, in place, the domains of unassigned elements against the
+        new placement; None when some domain empties."""
         for f in succs[e]:
             filtered = [x for x in out[f] if x != mask and (mask & x) == mask]
             if not filtered:
@@ -130,10 +166,17 @@ def _embeddings(by_size, poset: ColoredPoset, mode: str):
             yield tuple(image)
             return
         e = order[pos]
-        for mask in domains[e]:
+        twin = next_twin[pos]
+        domain = domains[e]
+        for i, mask in enumerate(domain):
             if mask in used:
                 continue
-            narrowed = propagate(e, mask, domains, later_incomparable[pos])
+            out = list(domains)
+            if twin >= 0:
+                out[twin] = domain[i + 1 :]
+                if not out[twin]:
+                    return
+            narrowed = propagate(e, mask, out, later_incomparable[pos])
             if narrowed is not None:
                 used.add(mask)
                 image[e] = mask
@@ -174,18 +217,22 @@ def find_embedding(family, poset: ColoredPoset, mode: str = "standard") -> tuple
     if hit is None:
         return None
     assignment = tuple(map(family.members.index, hit))
-    assert verify_embedding(family, poset, mode, assignment), "detector returned an invalid witness"
+    if not verify_embedding(family, poset, mode, assignment):
+        raise RuntimeError("detector returned an invalid witness")
     return assignment
 
 
 def count_embeddings(family, poset: ColoredPoset, mode: str = "standard") -> int:
-    """Exact number of distinct embeddings (small instances only)."""
+    """Exact number of distinct embeddings (small instances only): the
+    embeddings whose twins (same color, predecessors and successors) take
+    their images in size-index order, times the product of k! over twin
+    classes of size k."""
     _check_mode(mode)
     if len(family.members) > COUNT_FAMILY_GUARD:
         raise ValueError(f"count_embeddings allows at most {COUNT_FAMILY_GUARD} members")
     if poset.p > COUNT_POSET_GUARD:
         raise ValueError(f"count_embeddings allows at most {COUNT_POSET_GUARD} poset elements")
-    return sum(1 for _ in _embeddings(family.by_size, poset, mode))
+    return sum(1 for _ in _embeddings(family.by_size, poset, mode)) * _plan(poset).twin_factor
 
 
 def is_avoiding(family, configs: ConfigSet, mode: str = "standard") -> bool:

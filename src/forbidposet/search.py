@@ -196,7 +196,8 @@ def exact_max_family(problem: SearchProblem) -> SearchResult:
     status = searcher.run_root()
     witness = Family(problem.n, searcher.best_members)
     result = SearchResult(searcher.best_size, witness, status, searcher.nodes, searcher.prunes)
-    assert verify_witness(result, problem), "witness failed re-verification"
+    if not verify_witness(result, problem):
+        raise RuntimeError("witness failed re-verification")
     return result
 
 

@@ -241,6 +241,17 @@ class TestAlphaAudit:
         assert 0b0001 in report.exceptions
         assert not report.unexpected_below
 
+    def test_internal_checks_raise(self, monkeypatch):
+        # explicit raises, so running under python -O keeps both checks
+        fam = kt_construction(4)
+        with monkeypatch.context() as m:
+            m.setattr("forbidposet.audits._size_distance_key", lambda size, m_: 0)
+            with pytest.raises(RuntimeError, match="tie-free"):
+                alpha_audit(fam)
+        monkeypatch.setattr("forbidposet.audits.chains_avoiding_family", lambda family: 1)
+        with pytest.raises(RuntimeError, match="partition all n! chains"):
+            alpha_audit(fam)
+
     def test_chain_avoidance_dp(self):
         fam = Family.from_sets(3, [[1]])
         # chains through {1} = 1!*2! = 2 of 6

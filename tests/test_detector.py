@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -10,10 +11,13 @@ from forbidposet import (
     complement_family,
     count_embeddings,
     find_embedding,
+    find_violation,
     is_avoiding,
     kt_construction,
+    middle_levels,
     verify_embedding,
 )
+from forbidposet.detector import _plan
 from forbidposet.lattice import powerset_family
 
 from conftest import (
@@ -58,6 +62,69 @@ class TestFindEmbedding:
         with pytest.raises(ValueError):
             find_embedding(Family(2, []), KT_UP, mode="weird")
 
+    def test_failed_reverification_raises(self, monkeypatch):
+        # an explicit raise, so running under python -O keeps the check
+        monkeypatch.setattr("forbidposet.detector.verify_embedding", lambda *args: False)
+        with pytest.raises(RuntimeError, match="invalid witness"):
+            find_embedding(Family.from_sets(2, [[], [1], [2]]), KT_UP)
+
+
+class TestTwinPlan:
+    """Twins (same color, predecessors and successors) in the assignment
+    order, each position naming its next later twin or -1."""
+
+    def test_roster_twin_chains(self):
+        (fork3,) = build_named("fork", 3).configs
+        kt_up, kt_down = KT.configs
+        bottoms, tops = build_named("butterfly_pair").configs
+        expected = [
+            (D4.configs[0], (-1, 2, 3, 4, -1, -1), 24),
+            (fork3, (-1, 2, 3, -1), 6),
+            (kt_up, (-1, 2, -1), 2),
+            (kt_down, (1, -1, -1), 2),
+            (bottoms, (1, -1, -1, -1), 2),
+            (tops, (-1, -1, 3, -1), 2),
+            (J.configs[0], (-1, -1, -1, -1), 1),
+        ]
+        for poset, next_twin, factor in expected:
+            plan = _plan(poset)
+            assert plan.order == tuple(range(poset.p)), poset.name
+            assert plan.next_twin == next_twin, poset.name
+            assert plan.twin_factor == factor, poset.name
+
+    def test_chains_have_no_twins(self):
+        for r in range(1, 8):
+            (chain,) = build_named("chain", r).configs
+            assert _plan(chain).next_twin == (-1,) * r
+            assert _plan(chain).twin_factor == 1
+
+
+class TestFirstViolationPinned:
+    """The first embedding in backtracking order, pinned from before twin
+    symmetry breaking: ``check`` prints it, so it must not move."""
+
+    def test_explicit_assignments(self):
+        fork3 = build_named("fork", 3)
+        butterfly = build_named("butterfly_pair")
+        # middle_levels(6, 4) avoids diamond(4); five levels do not
+        assert find_violation(middle_levels(6, 4), D4) is None
+        assert find_violation(middle_levels(6, 5), D4) == (0, (0, 6, 7, 8, 9, 56))
+        assert find_violation(middle_levels(5, 2), fork3) == (0, (0, 10, 11, 12))
+        assert find_violation(middle_levels(6, 3), butterfly, "induced") == (0, (0, 1, 35, 36))
+
+    def test_random_families_digest(self):
+        rng = random.Random(2016)
+        roster = named_roster()
+        results = []
+        for _ in range(300):
+            fam = random_family(rng, rng.randint(3, 6))
+            for _label, cfg in roster:
+                for mode in ("standard", "induced"):
+                    results.append(find_violation(fam, cfg, mode))
+        assert sum(r is None for r in results) == 3299
+        digest = hashlib.sha256(repr(results).encode()).hexdigest()
+        assert digest == "c19f25d4ad3d6e9df5aedd4ed00394d2834a82a30cfa163a7478446ab5d73f72"
+
 
 class TestIsAvoiding:
     def test_kt_construction_avoids_kt(self):
@@ -92,6 +159,14 @@ class TestCountEmbeddings:
 
     def test_empty_family(self):
         assert count_embeddings(Family(3, []), KT_UP) == 0
+
+    def test_same_color_non_twins_not_sorted(self):
+        # j_config's B and C share a color but only B lies below D, so they
+        # are not twins and swapping them gives no second embedding
+        fam = Family.from_sets(3, [[], [1], [2], [1, 3]])
+        for mode in ("standard", "induced"):
+            assert count_embeddings(fam, J.configs[0], mode) == 1
+            assert brute_count_embeddings(fam, J.configs[0], mode) == 1
 
     def test_single_chain_unique(self):
         for r in range(1, 5):
@@ -185,6 +260,18 @@ def small_families(draw, max_n=3):
     return Family(n, draw(st.lists(st.integers(0, (1 << n) - 1), unique=True)))
 
 
+@st.composite
+def level_heavy_families(draw, max_size=6):
+    """At most ``max_size`` members over [n], n in {3, 4}, a random share of
+    them from the middle level: uniform random families this small seldom
+    hold the 4 or 5 equal-size sets a large twin class needs."""
+    n = draw(st.integers(3, 4))
+    level = draw(st.permutations([m for m in range(1 << n) if m.bit_count() == n // 2]))
+    members = level[: draw(st.integers(0, len(level)))]
+    members += draw(st.lists(st.integers(0, (1 << n) - 1), max_size=max_size))
+    return Family(n, list(dict.fromkeys(members))[:max_size])
+
+
 ORACLE = settings(derandomize=True, max_examples=300, deadline=None, database=None)
 MODES = ("standard", "induced")
 
@@ -197,6 +284,13 @@ class TestRandomPosetOracle:
     @given(small_families(), colored_posets())
     def test_count_matches_brute_force(self, fam, poset):
         ConfigSet((poset,))  # the generator only builds valid posets
+        for mode in MODES:
+            assert count_embeddings(fam, poset, mode) == brute_count_embeddings(fam, poset, mode)
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(level_heavy_families(), colored_posets(max_p=5))
+    def test_count_matches_brute_force_five_elements(self, fam, poset):
+        # twin classes of 3 to 5 elements: the k! factor against brute force
         for mode in MODES:
             assert count_embeddings(fam, poset, mode) == brute_count_embeddings(fam, poset, mode)
 

@@ -380,6 +380,12 @@ class TestVerifyWitness:
         wrong = type(res)(res.best_size - 1, res.witness, res.status, 0, 0)
         assert not verify_witness(wrong, prob)
 
+    def test_failed_reverification_raises(self, monkeypatch):
+        # an explicit raise, so running under python -O keeps the check
+        monkeypatch.setattr("forbidposet.search.verify_witness", lambda result, problem: False)
+        with pytest.raises(RuntimeError, match="witness failed re-verification"):
+            exact_max_family(SearchProblem(n=3, configs=build_named("kt_pair")))
+
 
 class TestGuards:
     def test_ground_guard(self):
