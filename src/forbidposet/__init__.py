@@ -67,7 +67,7 @@ from .search import (
     verify_witness,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "AlphaReport",

@@ -42,24 +42,41 @@ class ChainSampleReport:
 def estimate_lubell(family: Family, trials: int, seed: int) -> ChainSampleReport:
     """Mean of |chain ∩ family| over uniformly sampled maximal chains.
 
-    Deterministic given the seed: one generator seeded with it shuffles one
-    list of element bits in place per trial, the chain being its prefixes.
+    Deterministic given the seed.  Each trial takes one code r from a
+    generator seeded with it: ``getrandbits(n!.bit_length())``, drawn again
+    while r >= n!, so r is uniform in [0, n!).  Read in the factorial number
+    system, r's digits r mod n, (r div n) mod (n-1), ... pick the chain's
+    elements one at a time: digit d of radix k takes the d-th of the k
+    elements left and moves the last one into its slot.  Each pick extends
+    the current chain set by one element, which is tested for membership.
+    The walk stops at the largest member size below n, since no longer
+    prefix can be a member; ∅ and [n] lie on every chain and are counted
+    once up front.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     n = family.n
     members = family.member_set
     base = (0 in members) + (family.full_mask in members)
-    shuffle = random.Random(seed).shuffle
-    order = [1 << i for i in range(n)]
+    top = max((s for s in family.by_size if s < n), default=0)
+    radices = range(n, n - top, -1)  # one digit per prefix size 1..top
+    n_fact = math.factorial(n)
+    code_bits = n_fact.bit_length()
+    getrandbits = random.Random(seed).getrandbits
+    elements = [1 << i for i in range(n)]
     total = 0
     total_sq = 0
     for _ in range(trials):
-        shuffle(order)
+        r = getrandbits(code_bits)
+        while r >= n_fact:
+            r = getrandbits(code_bits)
+        left = elements[:]
         hits = base
         mask = 0
-        for b in order[: n - 1]:
-            mask |= b
+        for k in radices:
+            r, d = divmod(r, k)
+            mask |= left[d]
+            left[d] = left[k - 1]
             if mask in members:
                 hits += 1
         total += hits

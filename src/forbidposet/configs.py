@@ -12,22 +12,71 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import reduce
+from itertools import compress, count
+from operator import or_
+
+
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+_BYTE_BITS = tuple(tuple(i for i in range(8) if v >> i & 1) for v in range(256))
+
+
+def _bits(row: int) -> tuple[int, ...]:
+    """Positions of the set bits of a bitset, ascending.  Rows below 256, as
+    in posets of up to 8 elements, are looked up; longer ones are decoded in
+    C from the binary string, without a Python step per bit."""
+    if row < 256:
+        return _BYTE_BITS[row]
+    return tuple(compress(count(), bin(row)[:1:-1].encode().translate(_BIT_BYTES)))
 
 
 def transitive_closure(p: int, pairs) -> frozenset[tuple[int, int]]:
-    """Transitive closure of a relation on 0..p-1 (Warshall)."""
-    adj = [set() for _ in range(p)]
+    """Transitive closure of a relation on 0..p-1."""
+    return _relation(_closure_rows(p, pairs))
+
+
+def _relation(rows) -> frozenset[tuple[int, int]]:
+    """The pairs (a, b) with b in the a-th successor bitset."""
+    return frozenset([(a, b) for a, row in enumerate(rows) if row for b in _bits(row)])
+
+
+def _closure_rows(p: int, pairs) -> tuple[int, ...]:
+    """Successor bitsets of the transitive closure of a relation on 0..p-1.
+
+    Rows are filled in reverse topological order (Kahn's), so every
+    successor's row is final when it is merged and one pass closes an
+    acyclic relation.  Elements on or above a cycle have no such order; they
+    are filled first, and the rows are passed over again until none changes.
+    """
+    succ = [[] for _ in range(p)]
+    indegree = [0] * p
     for a, b in pairs:
         if not (0 <= a < p and 0 <= b < p):
             raise ValueError(f"relation pair ({a}, {b}) outside 0..{p - 1}")
-        adj[a].add(b)
-    for mid in range(p):
-        if adj[mid]:  # a mid with no successors adds nothing to anyone
-            for a in range(p):
-                if mid in adj[a]:
-                    adj[a] |= adj[mid]
-    return frozenset((a, b) for a in range(p) for b in adj[a])
+        succ[a].append(b)
+        indegree[b] += 1
+    order = [e for e, d in enumerate(indegree) if not d]
+    for a in order:
+        for b in succ[a]:
+            indegree[b] -= 1
+            if not indegree[b]:
+                order.append(b)
+    cyclic = len(order) < p
+    if cyclic:
+        order += [e for e in range(p) if indegree[e]]
+    rows = [0] * p
+    changed = True
+    while changed:
+        changed = False
+        for a in reversed(order):
+            row = rows[a]
+            for b in succ[a]:
+                row |= rows[b] | 1 << b
+            if row != rows[a]:
+                rows[a] = row
+                changed = cyclic
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -54,10 +103,17 @@ class ColoredPoset:
     relation: frozenset[tuple[int, int]]
     colors: tuple[int, ...]
     name: str | None = None
+    # the bitset of the elements above each element, when known: ``build``
+    # passes the rows it made the relation from, so validating a built poset
+    # does not walk its pairs
+    successor_rows: tuple[int, ...] | None = field(
+        default=None, compare=False, repr=False, kw_only=True
+    )
 
     @classmethod
     def build(cls, p: int, pairs, colors, name: str | None = None) -> "ColoredPoset":
-        return cls(p, transitive_closure(p, pairs), tuple(colors), name)
+        rows = _closure_rows(p, pairs)
+        return cls(p, _relation(rows), tuple(colors), name, successor_rows=rows)
 
     def less(self, a: int, b: int) -> bool:
         return (a, b) in self.relation
@@ -86,47 +142,75 @@ class ColoredPoset:
 
 def validate(poset: ColoredPoset) -> Violation | None:
     """None if all invariants hold, else a report naming the first violated
-    pair.  Checks run in a fixed order so the report is deterministic."""
+    pair.  Checks run in a fixed order, each naming its first failing pair
+    in sorted order, so the report is deterministic.
+
+    Each check first runs on successor bitsets, and only a failing check
+    lists and sorts its pairs, so a valid poset is never sorted.
+    """
     p = poset.p
     if p < 1:
         return Violation("elements", f"poset must have at least 1 element, got {p}")
-    if len(poset.colors) != p:
-        return Violation("colors", f"expected {p} colors, got {len(poset.colors)}")
-    pairs = sorted(poset.relation)
-    for a, b in pairs:
-        if not (0 <= a < p and 0 <= b < p):
-            return Violation("elements", f"relation pair ({a}, {b}) out of range", (a, b))
-    for a, b in pairs:
-        if a == b:
-            return Violation("acyclic", f"element {a} relates to itself (cycle)", (a, a))
-        if (b, a) in poset.relation:
+    colors = poset.colors
+    if len(colors) != p:
+        return Violation("colors", f"expected {p} colors, got {len(colors)}")
+    rel = poset.relation
+    succ = poset.successor_rows
+    if succ is None:
+        succ = _successor_rows(p, rel)
+    if succ is None:
+        a, b = min((a, b) for a, b in rel if not (0 <= a < p and 0 <= b < p))
+        return Violation("elements", f"relation pair ({a}, {b}) out of range", (a, b))
+    # one pass over the nonzero rows: a row is closed iff it holds the rows
+    # of its members, and colors ascend iff they all exceed its element's
+    closed = ascending = True
+    row_of, color_of = succ.__getitem__, colors.__getitem__
+    for a, row in enumerate(succ):
+        if row:
+            above = _bits(row)
+            closed = closed and reduce(or_, map(row_of, above), row) == row
+            ascending = ascending and colors[a] < min(map(color_of, above))
+    if not ascending:  # ascending colors rule out cycles
+        cycle = [(a, b) for a, b in rel if (b, a) in rel]
+        if cycle:
+            a, b = min(cycle)
+            if a == b:
+                return Violation("acyclic", f"element {a} relates to itself (cycle)", (a, a))
             return Violation("acyclic", f"elements {a} and {b} lie on a cycle", (a, b))
-    # successor rows as bitmasks: a pair (a, b) is closed iff succ[b] is a
-    # subset of succ[a], and the lowest missing bit names the smallest c
-    succ = [0] * p
-    for a, b in pairs:
-        succ[a] |= 1 << b
-    for a, b in pairs:
+    if not closed:
+        # the first open pair (a, b); the lowest bit of succ[b] missing from
+        # succ[a] names c
+        a, b = min((a, b) for a, b in rel if succ[b] & ~succ[a])
         missing = succ[b] & ~succ[a]
-        if missing:
-            c = (missing & -missing).bit_length() - 1
-            return Violation("acyclic", f"relation not transitively closed at ({a}, {c})", (a, c))
-    for c in poset.colors:
+        c = (missing & -missing).bit_length() - 1
+        return Violation("acyclic", f"relation not transitively closed at ({a}, {c})", (a, c))
+    for c in colors:
         if c < 1:
             return Violation("colors", f"colors must be positive, got {c}")
-    used = set(poset.colors)
+    used = set(colors)
     for c in range(1, max(used) + 1):
         if c not in used:
             return Violation("colors", f"color {c} unused (colors must cover 1..k)")
-    for a, b in pairs:
-        if poset.colors[a] >= poset.colors[b]:
-            return Violation(
-                "order-preserving",
-                f"comparable elements {a} < {b} need increasing colors, got "
-                f"{poset.colors[a]} and {poset.colors[b]}",
-                (a, b),
-            )
+    if not ascending:
+        a, b = min((a, b) for a, b in rel if colors[a] >= colors[b])
+        return Violation(
+            "order-preserving",
+            f"comparable elements {a} < {b} need increasing colors, got "
+            f"{colors[a]} and {colors[b]}",
+            (a, b),
+        )
     return None
+
+
+def _successor_rows(p: int, pairs) -> tuple[int, ...] | None:
+    """Successor bitset of each element of 0..p-1; None if a pair lies
+    outside."""
+    succ = [0] * p
+    for a, b in pairs:
+        if not (0 <= a < p and 0 <= b < p):
+            return None
+        succ[a] |= 1 << b
+    return tuple(succ)
 
 
 def require_valid(poset: ColoredPoset) -> ColoredPoset:

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,6 +20,7 @@ from forbidposet import (
     middle_levels,
     weighted_chain_average,
 )
+from forbidposet import audits
 from forbidposet.audits import (
     alpha_counts_by_enumeration,
     chains_avoiding_family,
@@ -61,7 +63,50 @@ class TestEstimateLubell:
         assert (report.mean, report.std_error) == (1.0, 0.0)
         fam = random_family(random.Random(21), 7, max_size=30)
         report = estimate_lubell(fam, trials=1000, seed=7)
-        assert (report.mean, report.std_error) == (0.224, 0.014072029776191566)
+        assert (report.mean, report.std_error) == (0.234, 0.014403175047587648)
+
+    def test_every_code_decodes_to_its_own_chain(self, monkeypatch):
+        # a generator whose codes at n=4 (5 bits) are each of 0..23 once,
+        # with the rejected codes 24..31 mixed in, so 24 trials walk every
+        # permutation exactly once through the sampler's own decode
+        codes = [24, 0, 1, 25, 2, 3, 4, 26, 27, 5, 6, 7, 8, 28, 9, 10, 11, 12,
+                 29, 13, 14, 15, 16, 30, 17, 18, 19, 31, 20, 21, 22, 23]
+        assert sorted(codes) == list(range(32))
+
+        class AllCodes:
+            def __init__(self, seed):
+                self.codes = iter(codes)
+
+            def getrandbits(self, k):
+                assert k == 5
+                return next(self.codes)
+
+        monkeypatch.setattr(audits, "random", SimpleNamespace(Random=AllCodes))
+        full = (1 << 4) - 1
+        families = [Family(4, [m]) for m in range(16)]
+        families.append(Family(4, [0, full]))
+        # members at or below level t: the walk stops after t digits
+        families += [Family(4, [m for m in range(16) if m.bit_count() <= t]) for t in range(4)]
+        families += [Family(4, [0b0011, 0b0100]), Family(4, [0b0001, 0b1110, 0b1000])]
+        for fam in families:
+            report = estimate_lubell(fam, trials=24, seed=0)
+            assert report.mean == float(lubell(fam)), fam.sets()
+
+    def test_one_element_ground_set(self):
+        # n! = 1 takes a 1-bit code, so about half the draws are rejected
+        for masks in ([], [0], [1], [0, 1]):
+            fam = Family(1, masks)
+            report = estimate_lubell(fam, trials=200, seed=5)
+            assert (report.mean, report.std_error) == (float(len(masks)), 0.0)
+
+    def test_sixty_four_element_ground_set(self):
+        # 296-bit codes; the singletons' walk stops after one digit
+        full = (1 << 64) - 1
+        report = estimate_lubell(Family(64, [0, full]), trials=200, seed=5)
+        assert (report.mean, report.std_error) == (2.0, 0.0)
+        singletons = Family(64, [1 << i for i in range(64)])
+        report = estimate_lubell(singletons, trials=200, seed=5)
+        assert (report.mean, report.std_error, report.exact_target) == (1.0, 0.0, 1)
 
     def test_statistical_agreement(self):
         rng = random.Random(77)

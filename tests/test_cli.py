@@ -238,6 +238,13 @@ class TestAuditCommand:
         assert a == b
         assert a["within_5_sigma"] is True
 
+    def test_lubell_on_64_element_ground_set(self, capsys, tmp_path):
+        path = write_family(tmp_path, Family(64, [1 << i for i in range(64)]))
+        code, out, _ = run_cli(capsys, "audit", "lubell", "--family", path, "--trials", "500")
+        obj = json.loads(out)
+        assert code == 0 and (obj["mean"], obj["std_error"], obj["exact_target"]) == (1.0, 0.0, "1")
+        assert obj["within_5_sigma"] is True
+
     def test_workers_flag_rejected(self, capsys, tmp_path):
         path = write_family(tmp_path, kt_construction(6))
         code, _, err = run_cli(capsys, "audit", "lubell", "--family", path, "--workers", "2")
@@ -324,8 +331,8 @@ class TestTextFormat:
                 [
                     "audit lubell:",
                     "  trials: 1000",
-                    "  mean: 0.641",
-                    "  std_error: 0.02350897002575127",
+                    "  mean: 0.694",
+                    "  std_error: 0.02364155077237792",
                     "  exact_target: 2/3",
                     "  within_5_sigma: True",
                 ],

@@ -1,3 +1,6 @@
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,7 +13,7 @@ from forbidposet import (
     serialize_config,
     validate,
 )
-from forbidposet.configs import ConfigId, transitive_closure
+from forbidposet.configs import ConfigId, Violation, transitive_closure
 
 from conftest import colored_posets
 
@@ -52,6 +55,77 @@ class TestValidate:
         v = validate(poset)
         assert v is not None and v.kind == "order-preserving"
 
+    def test_matches_first_violation_by_brute_force(self):
+        rng = random.Random(2024)
+        reports = Counter()
+        for _ in range(4000):
+            poset = random_raw_poset(rng)
+            expected = first_violation_brute_force(poset)
+            assert validate(poset) == expected, poset
+            reports[expected and (expected.kind, expected.detail.split()[0])] += 1
+        # every report validate can give, valid posets included
+        assert len(reports) == 8 and min(reports.values()) >= 20, reports
+
+
+def random_raw_poset(rng):
+    """A poset as given, neither closed nor validated: most pairs go up one
+    hidden order and most colorings follow it, so every check is reached."""
+    p = rng.randint(1, 10)
+    rank = rng.sample(range(p), p)
+    pairs = set()
+    for _ in range(rng.randint(0, 2 * p)):
+        a, b = rng.randrange(p), rng.randrange(p)
+        if rank[a] > rank[b] and rng.random() < 0.95:
+            a, b = b, a
+        if a != b or rng.random() < 0.05:
+            pairs.add((a, b))
+    if rng.random() < 0.5:
+        pairs = set(transitive_closure(p, pairs))
+        pairs -= {pair for pair in pairs if rng.random() < 0.05}
+    if rng.random() < 0.05:
+        pairs.add((rng.choice([-1, p]), rng.randrange(p)))
+    if rng.random() < 0.7:
+        colors = tuple(1 + rank[e] for e in range(p))
+    else:
+        colors = tuple(rng.choice([0, 1, 1, 2, 2, 3, 4]) for _ in range(p))
+    return ColoredPoset(p, frozenset(pairs), colors)
+
+
+def first_violation_brute_force(poset):
+    """validate's checks in their fixed order, each over every pair in sorted
+    order and, for closure, every third element c in turn."""
+    p, rel, colors = poset.p, poset.relation, poset.colors
+    pairs = sorted(rel)
+    for a, b in pairs:
+        if not (0 <= a < p and 0 <= b < p):
+            return Violation("elements", f"relation pair ({a}, {b}) out of range", (a, b))
+    for a, b in pairs:
+        if a == b:
+            return Violation("acyclic", f"element {a} relates to itself (cycle)", (a, a))
+        if (b, a) in rel:
+            return Violation("acyclic", f"elements {a} and {b} lie on a cycle", (a, b))
+    for a, b in pairs:
+        for c in range(p):
+            if (b, c) in rel and (a, c) not in rel:
+                return Violation(
+                    "acyclic", f"relation not transitively closed at ({a}, {c})", (a, c)
+                )
+    for c in colors:
+        if c < 1:
+            return Violation("colors", f"colors must be positive, got {c}")
+    for c in range(1, max(colors) + 1):
+        if c not in colors:
+            return Violation("colors", f"color {c} unused (colors must cover 1..k)")
+    for a, b in pairs:
+        if colors[a] >= colors[b]:
+            return Violation(
+                "order-preserving",
+                f"comparable elements {a} < {b} need increasing colors, got "
+                f"{colors[a]} and {colors[b]}",
+                (a, b),
+            )
+    return None
+
 
 class TestClosure:
     def test_idempotent(self):
@@ -63,6 +137,24 @@ class TestClosure:
         assert transitive_closure(3, [(0, 1), (1, 2)]) == frozenset(
             [(0, 1), (1, 2), (0, 2)]
         )
+
+    def test_matches_repeated_composition(self):
+        # cycles included: their elements have no topological order; rows
+        # of 9 or more bits are decoded from their binary strings
+        rng = random.Random(99)
+        for _ in range(1000):
+            p = rng.randint(1, 11)
+            pairs = [(rng.randrange(p), rng.randrange(p)) for _ in range(rng.randint(0, 2 * p))]
+            closed = set(pairs)
+            while more := {(a, d) for a, b in closed for c, d in closed if b == c} - closed:
+                closed |= more
+            assert transitive_closure(p, pairs) == closed, (p, pairs)
+
+    def test_pair_outside_rejected(self):
+        with pytest.raises(ValueError, match=r"relation pair \(0, 3\) outside 0..2"):
+            transitive_closure(3, [(0, 1), (0, 3)])
+        with pytest.raises(ValueError, match=r"relation pair \(-1, 0\) outside 0..2"):
+            ColoredPoset.build(3, [(-1, 0)], [1, 2, 3])
 
 
 class TestBuilders:
