@@ -13,22 +13,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from functools import reduce
-from itertools import compress, count
-from operator import or_
-
-
-_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
-_BYTE_BITS = tuple(tuple(i for i in range(8) if v >> i & 1) for v in range(256))
-
-
-def _bits(row: int) -> tuple[int, ...]:
-    """Positions of the set bits of a bitset, ascending.  Rows below 256, as
-    in posets of up to 8 elements, are looked up; longer ones are decoded in
-    C from the binary string, without a Python step per bit."""
-    if row < 256:
-        return _BYTE_BITS[row]
-    return tuple(compress(count(), bin(row)[:1:-1].encode().translate(_BIT_BYTES)))
 
 
 def transitive_closure(p: int, pairs) -> frozenset[tuple[int, int]]:
@@ -36,47 +20,49 @@ def transitive_closure(p: int, pairs) -> frozenset[tuple[int, int]]:
     return _relation(_closure_rows(p, pairs))
 
 
-def _relation(rows) -> frozenset[tuple[int, int]]:
-    """The pairs (a, b) with b in the a-th successor bitset."""
-    return frozenset([(a, b) for a, row in enumerate(rows) if row for b in _bits(row)])
-
-
 def _closure_rows(p: int, pairs) -> tuple[int, ...]:
     """Successor bitsets of the transitive closure of a relation on 0..p-1.
 
-    Rows are filled in reverse topological order (Kahn's), so every
-    successor's row is final when it is merged and one pass closes an
-    acyclic relation.  Elements on or above a cycle have no such order; they
-    are filled first, and the rows are passed over again until none changes.
+    Each row takes in the rows of its direct successors, sweeping from the
+    last element down, so a successor above its predecessor is final when
+    it is read.  A row that changes after a higher element has read it (a
+    pair going down in element order, as on every cycle) calls for another
+    sweep; a relation whose pairs all go up, as the named configurations'
+    do, is closed in one.
     """
     succ = [[] for _ in range(p)]
-    indegree = [0] * p
+    read_from_above = [False] * p
     for a, b in pairs:
         if not (0 <= a < p and 0 <= b < p):
             raise ValueError(f"relation pair ({a}, {b}) outside 0..{p - 1}")
         succ[a].append(b)
-        indegree[b] += 1
-    order = [e for e, d in enumerate(indegree) if not d]
-    for a in order:
-        for b in succ[a]:
-            indegree[b] -= 1
-            if not indegree[b]:
-                order.append(b)
-    cyclic = len(order) < p
-    if cyclic:
-        order += [e for e in range(p) if indegree[e]]
+        if b < a:
+            read_from_above[b] = True
     rows = [0] * p
     changed = True
     while changed:
         changed = False
-        for a in reversed(order):
+        for a in range(p - 1, -1, -1):
             row = rows[a]
             for b in succ[a]:
                 row |= rows[b] | 1 << b
             if row != rows[a]:
                 rows[a] = row
-                changed = cyclic
+                changed = changed or read_from_above[a]
     return tuple(rows)
+
+
+def _relation(rows) -> frozenset[tuple[int, int]]:
+    """The pairs (a, b) with bit b set in row a."""
+    return frozenset(
+        [
+            (a, b)
+            for a, row in enumerate(rows)
+            if row
+            for b, bit in enumerate(bin(row)[:1:-1])
+            if bit == "1"
+        ]
+    )
 
 
 @dataclass(frozen=True)
@@ -103,17 +89,16 @@ class ColoredPoset:
     relation: frozenset[tuple[int, int]]
     colors: tuple[int, ...]
     name: str | None = None
-    # the bitset of the elements above each element, when known: ``build``
-    # passes the rows it made the relation from, so validating a built poset
-    # does not walk its pairs
-    successor_rows: tuple[int, ...] | None = field(
-        default=None, compare=False, repr=False, kw_only=True
-    )
+    # the successor bitset of each element, set only by ``build`` from the
+    # rows it made ``relation`` of, so ``validate`` need not walk the pairs
+    _rows: tuple[int, ...] | None = field(init=False, default=None, compare=False, repr=False)
 
     @classmethod
     def build(cls, p: int, pairs, colors, name: str | None = None) -> "ColoredPoset":
         rows = _closure_rows(p, pairs)
-        return cls(p, _relation(rows), tuple(colors), name, successor_rows=rows)
+        poset = cls(p, _relation(rows), tuple(colors), name)
+        object.__setattr__(poset, "_rows", rows)
+        return poset
 
     def less(self, a: int, b: int) -> bool:
         return (a, b) in self.relation
@@ -145,8 +130,8 @@ def validate(poset: ColoredPoset) -> Violation | None:
     pair.  Checks run in a fixed order, each naming its first failing pair
     in sorted order, so the report is deterministic.
 
-    Each check first runs on successor bitsets, and only a failing check
-    lists and sorts its pairs, so a valid poset is never sorted.
+    Each check runs on successor bitsets, and only a failing check lists
+    and sorts its pairs, so a valid poset is never sorted.
     """
     p = poset.p
     if p < 1:
@@ -155,22 +140,24 @@ def validate(poset: ColoredPoset) -> Violation | None:
     if len(colors) != p:
         return Violation("colors", f"expected {p} colors, got {len(colors)}")
     rel = poset.relation
-    succ = poset.successor_rows
-    if succ is None:
-        succ = _successor_rows(p, rel)
-    if succ is None:
-        a, b = min((a, b) for a, b in rel if not (0 <= a < p and 0 <= b < p))
-        return Violation("elements", f"relation pair ({a}, {b}) out of range", (a, b))
-    # one pass over the nonzero rows: a row is closed iff it holds the rows
-    # of its members, and colors ascend iff they all exceed its element's
-    closed = ascending = True
-    row_of, color_of = succ.__getitem__, colors.__getitem__
-    for a, row in enumerate(succ):
-        if row:
-            above = _bits(row)
-            closed = closed and reduce(or_, map(row_of, above), row) == row
-            ascending = ascending and colors[a] < min(map(color_of, above))
-    if not ascending:  # ascending colors rule out cycles
+    rows = poset._rows
+    if rows is None:  # not built: the rows come from the pairs
+        rows = [0] * p
+        for a, b in rel:
+            if not (0 <= a < p and 0 <= b < p):
+                a, b = min((a, b) for a, b in rel if not (0 <= a < p and 0 <= b < p))
+                return Violation("elements", f"relation pair ({a}, {b}) out of range", (a, b))
+            rows[a] |= 1 << b
+    # one pass over the pairs (a, mid): colors ascend along each, and row a
+    # holds row mid; ascending colors rule out cycles
+    ascending = closed = True
+    for mid in range(p):
+        above, bit, color = rows[mid], 1 << mid, colors[mid]
+        for a, row in enumerate(rows):
+            if row & bit:
+                ascending = ascending and colors[a] < color
+                closed = closed and row | above == row
+    if not ascending:
         cycle = [(a, b) for a, b in rel if (b, a) in rel]
         if cycle:
             a, b = min(cycle)
@@ -178,10 +165,10 @@ def validate(poset: ColoredPoset) -> Violation | None:
                 return Violation("acyclic", f"element {a} relates to itself (cycle)", (a, a))
             return Violation("acyclic", f"elements {a} and {b} lie on a cycle", (a, b))
     if not closed:
-        # the first open pair (a, b); the lowest bit of succ[b] missing from
-        # succ[a] names c
-        a, b = min((a, b) for a, b in rel if succ[b] & ~succ[a])
-        missing = succ[b] & ~succ[a]
+        # the first open pair (a, b); the lowest bit of rows[b] missing from
+        # rows[a] names c
+        a, b = min((a, b) for a, b in rel if rows[b] & ~rows[a])
+        missing = rows[b] & ~rows[a]
         c = (missing & -missing).bit_length() - 1
         return Violation("acyclic", f"relation not transitively closed at ({a}, {c})", (a, c))
     for c in colors:
@@ -200,17 +187,6 @@ def validate(poset: ColoredPoset) -> Violation | None:
             (a, b),
         )
     return None
-
-
-def _successor_rows(p: int, pairs) -> tuple[int, ...] | None:
-    """Successor bitset of each element of 0..p-1; None if a pair lies
-    outside."""
-    succ = [0] * p
-    for a, b in pairs:
-        if not (0 <= a < p and 0 <= b < p):
-            return None
-        succ[a] |= 1 << b
-    return tuple(succ)
 
 
 def require_valid(poset: ColoredPoset) -> ColoredPoset:
@@ -377,7 +353,7 @@ def poset_from_obj(obj) -> ColoredPoset:
     if type(p) is not int:
         raise ValueError(f"poset field 'elements' must be an integer, got {p!r}")
     if not isinstance(pairs, list) or not all(
-        isinstance(pair, list) and len(pair) == 2 and all(type(e) is int for e in pair)
+        isinstance(pair, list) and len(pair) == 2 and type(pair[0]) is int and type(pair[1]) is int
         for pair in pairs
     ):
         raise ValueError("poset field 'relations' must be a list of [a, b] integer pairs")

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -65,6 +66,31 @@ class TestValidate:
             reports[expected and (expected.kind, expected.detail.split()[0])] += 1
         # every report validate can give, valid posets included
         assert len(reports) == 8 and min(reports.values()) >= 20, reports
+
+    def test_built_posets_match_brute_force(self):
+        # build closes the relation and keeps its successor rows, which
+        # validate then checks instead of the pairs
+        rng = random.Random(2025)
+        reports = Counter()
+        for _ in range(2000):
+            raw = random_raw_poset(rng)
+            if any(not (0 <= e < raw.p) for pair in raw.relation for e in pair):
+                continue
+            poset = ColoredPoset.build(raw.p, raw.relation, raw.colors)
+            expected = first_violation_brute_force(poset)
+            assert validate(poset) == expected, poset
+            reports[expected and expected.kind] += 1
+        assert len(reports) == 4 and min(reports.values()) >= 20, reports
+
+    def test_replaced_relation_is_validated(self):
+        # the rows build keeps describe its own relation, not a replaced one
+        poset = ColoredPoset.build(2, [(0, 1)], [1, 2])
+        cyclic = replace(poset, relation=frozenset({(0, 1), (1, 0)}))
+        assert validate(cyclic) == Violation("acyclic", "elements 0 and 1 lie on a cycle", (0, 1))
+        with pytest.raises(ValueError, match="cycle"):
+            ConfigSet((cyclic,))
+        with pytest.raises(TypeError):
+            ColoredPoset(2, frozenset({(0, 1), (1, 0)}), (1, 2), _rows=(2, 0))
 
 
 def random_raw_poset(rng):
@@ -139,8 +165,8 @@ class TestClosure:
         )
 
     def test_matches_repeated_composition(self):
-        # cycles included: their elements have no topological order; rows
-        # of 9 or more bits are decoded from their binary strings
+        # cycles included, and pairs that go down in element order, which
+        # take the closure more than one sweep
         rng = random.Random(99)
         for _ in range(1000):
             p = rng.randint(1, 11)
