@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .configs import ColoredPoset, require_valid
-from .lattice import binomial, sigma
+from .lattice import MAX_BINOMIAL_N, binomial, sigma
 
 EXACT = "exact"
 MAIN_TERM_ONLY = "main-term-only"
@@ -155,8 +155,8 @@ def evaluate_bound(bound_id: str, **params: int) -> BoundResult:
             f"missing {missing or 'none'}, unexpected {extra or 'none'}"
         )
     args = [int(params[k]) for k in names]
-    if args[0] < 1:
-        raise ValueError("n must be >= 1")
+    if not 1 <= args[0] <= MAX_BINOMIAL_N:
+        raise ValueError(f"n must be in [1, {MAX_BINOMIAL_N}], got {args[0]}")
     value = Fraction(row.formula(*args))
     validity = "ok"
     if row.requirement is not None:

@@ -12,6 +12,14 @@ constraint becomes a loop over at most n+1 size values) and elements within
 a color together, and yields each embedding as the tuple of image masks.
 Finding one embedding takes the first item; counting exhausts the generator.
 
+A candidate domain is a bitset over the positions of its element's size
+level.  A placement ANDs the later domains with the placed mask's
+comparability rows, built lazily once per call, and before an element walks
+its domain, each successor with a smaller domain prunes it to the candidates
+below some member of that domain.  The others cannot extend the embedding,
+so the embeddings still come in the same order: the same first violations,
+counts and search trees.
+
 Twins are elements with the same color, predecessors and successors; swapping
 two of them is a poset automorphism.  The generator yields only the
 embeddings whose twins take their images in the order of the size index, one
@@ -25,6 +33,7 @@ never maps an injective embedding to itself.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import islice
 from math import factorial, prod
 from typing import NamedTuple
 
@@ -33,6 +42,7 @@ from .lattice import Mask
 
 COUNT_FAMILY_GUARD = 4096
 COUNT_POSET_GUARD = 8
+SIZE_TUPLE_CACHE = 1024
 
 _MODES = ("standard", "induced")
 
@@ -122,78 +132,144 @@ def _embeddings(by_size, poset: ColoredPoset, mode: str):
 
     Two stages per size tuple: commit every color to one set size (respecting
     the size order forced by inter-color relations), then assign elements in
-    color order while propagating each placement into the candidate domains
-    of the unassigned elements.  The propagation is what keeps large
-    single-size levels from turning into cartesian scans.
+    color order.  A placement keeps, in each successor's domain, the
+    positions strictly above it, and in induced mode drops from each
+    incomparable element's domain the positions comparable to it.  Before
+    an element walks its domain, the support step keeps only the candidates
+    below some member of each smaller successor domain.  Domains only shrink
+    down the tree, so what it drops is dead and the order is unchanged.
 
-    Placing an element at index i of its domain restricts its next twin to
-    the entries after i.  That is sound because every placement filters
-    twins alike (same predecessors, and in induced mode the same
-    comparabilities), so the element's domain list is a suffix of its
-    twin's; the twins' images therefore follow the size index's order.
+    Placing an element at a position restricts its next twin to the later
+    positions of the element's domain.  That is sound because every
+    placement filters twins alike (same predecessors, and in induced mode
+    the same comparabilities), so the element's domain is the later part of
+    its twin's, and what the support step drops is dead for the twin too.
+    The placement's own filters then apply to that suffix: in induced mode
+    the twin is one of the incomparable elements, and filtering its old
+    domain instead would undo the restriction.
     """
     if poset.p > sum(map(len, by_size.values())):
-        return iter(())
-    order, class_size, lower_colors, succs, later_incomparable, next_twin, _ = _plan(poset)
-    p = poset.p
-    k = poset.num_colors
-    colors = poset.colors
-    avail_sizes = sorted(by_size)
-    induced = mode == "induced"
+        return
+    plan = _plan(poset)
+    cap = max(plan.class_size)
+    counts = tuple(sorted((s, min(len(v), cap)) for s, v in by_size.items() if v))
+    sizes = _size_tuples(poset, counts)
+    call = _Call(plan, by_size, mode == "induced")
+    for size in sizes if sizes is not None else _size_gen(poset, counts, ()):
+        call.size, call.level = size, [by_size[s] for s in size]
+        yield from _assign(call, 0, [(1 << len(level)) - 1 for level in call.level])
 
-    image = [0] * p
-    used: set[Mask] = set()
-    chosen_size = [-1] * (k + 1)
 
-    def propagate(e: int, mask: Mask, out, incomparable):
-        """Filter, in place, the domains of unassigned elements against the
-        new placement; None when some domain empties."""
-        for f in succs[e]:
-            filtered = [x for x in out[f] if x != mask and (mask & x) == mask]
-            if not filtered:
-                return None
-            out[f] = filtered
-        if induced:
+class _Call:
+    """One call's state.  Only the call's generator frames refer to it and it
+    refers to none of them, so reference counting frees it as soon as the
+    generator ends or is dropped.  ``rows`` and ``slices`` cache ``_row``."""
+
+    __slots__ = ("plan", "by_size", "induced", "size", "level", "image", "used", "rows", "slices")
+
+    def __init__(self, plan: _Plan, by_size, induced: bool):
+        self.plan, self.by_size, self.induced = plan, by_size, induced
+        self.image, self.used, self.rows, self.slices = [0] * len(plan.order), set(), {}, {}
+
+
+def _row(call: _Call, mask: Mask, size: int) -> int:
+    """Bitset of the positions in level ``size`` strictly above ``mask`` (a
+    larger size) or strictly below it (a smaller one); at mask's own size,
+    mask's own position, which induced mode excludes.  Rows come from the
+    level's bit slices (for each ground element, the positions of the
+    members holding it): above is the AND of the slices of mask's elements,
+    below the AND of the complements of the other slices."""
+    row = call.rows.get((mask, size))
+    if row is None:
+        level = call.by_size[size]
+        slices = call.slices.get(size)
+        if slices is None:
+            slices = call.slices[size] = [0] * max(level).bit_length()
+            for j, member in enumerate(level):
+                while member:
+                    low = member & -member
+                    member ^= low
+                    slices[low.bit_length() - 1] |= 1 << j
+        above = size > mask.bit_count()
+        row = 0 if above and mask >> len(slices) else (1 << len(level)) - 1
+        for i, has in enumerate(slices):
+            if mask >> i & 1 == above:
+                row &= has if above else ~has
+        call.rows[(mask, size)] = row
+    return row
+
+
+def _assign(call: _Call, pos: int, domains):
+    """Place the element at ``pos`` in turn on each candidate of its domain
+    and recurse; yield the image tuple once every element is placed."""
+    if pos == len(domains):
+        yield tuple(call.image)
+        return
+    plan, size, used = call.plan, call.size, call.used
+    e = plan.order[pos]
+    succs, domain = plan.succs[e], domains[e]
+    for f in succs:
+        if domains[f].bit_count() < domain.bit_count():
+            support, rest = 0, domains[f]
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                support |= _row(call, call.level[f][low.bit_length() - 1], size[e])
+            domain &= support
+    twin = plan.next_twin[pos]
+    incomparable = plan.later_incomparable[pos] if call.induced else ()
+    rest = domain
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        mask = call.level[e][low.bit_length() - 1]
+        if mask in used:
+            continue
+        out = list(domains)
+        if twin >= 0:
+            if not rest:
+                return
+            out[twin] = rest
+        for f in succs:
+            out[f] &= _row(call, mask, size[f])
+            if not out[f]:
+                break
+        else:
             for f in incomparable:
-                filtered = [x for x in out[f] if (mask & x) != mask and (x & mask) != x]
-                if not filtered:
-                    return None
-                out[f] = filtered
-        return out
-
-    def assign(pos: int, domains):
-        if pos == p:
-            yield tuple(image)
-            return
-        e = order[pos]
-        twin = next_twin[pos]
-        domain = domains[e]
-        for i, mask in enumerate(domain):
-            if mask in used:
-                continue
-            out = list(domains)
-            if twin >= 0:
-                out[twin] = domain[i + 1 :]
-                if not out[twin]:
-                    return
-            narrowed = propagate(e, mask, out, later_incomparable[pos])
-            if narrowed is not None:
+                out[f] &= ~_row(call, mask, size[f])
+                if not out[f]:
+                    break
+            else:
                 used.add(mask)
-                image[e] = mask
-                yield from assign(pos + 1, narrowed)
+                call.image[e] = mask
+                yield from _assign(call, pos + 1, out)
                 used.discard(mask)
 
-    def choose_size(c: int):
-        if c > k:
-            yield from assign(0, [by_size[chosen_size[colors[e]]] for e in range(p)])
-            return
-        floor = max((chosen_size[c2] for c2 in lower_colors[c]), default=-1)
-        for size in avail_sizes:
-            if size > floor and len(by_size.get(size, ())) >= class_size[c]:
-                chosen_size[c] = size
-                yield from choose_size(c + 1)
 
-    return choose_size(1)
+def _size_gen(poset: ColoredPoset, counts, chosen: tuple[int, ...]):
+    """Every choice of one set size per color, in lexicographic order and
+    given as the size of each element: color c takes a size with at least
+    class_size[c] members, above the sizes of the colors it must exceed."""
+    plan = _plan(poset)
+    c = len(chosen) + 1
+    if c == len(plan.class_size):
+        yield tuple(chosen[color - 1] for color in poset.colors)
+        return
+    floor = max((chosen[c2 - 1] for c2 in plan.lower_colors[c]), default=-1)
+    for size, count in counts:
+        if size > floor and count >= plan.class_size[c]:
+            yield from _size_gen(poset, counts, (*chosen, size))
+
+
+@lru_cache(maxsize=4096)
+def _size_tuples(poset: ColoredPoset, counts) -> tuple[tuple[int, ...], ...] | None:
+    """``_size_gen``'s choices, cached per poset and level counts (capped at
+    the largest class size: the choice depends on nothing else) so the
+    search's many small calls do not redo them; None past SIZE_TUPLE_CACHE
+    choices, which many unrelated colors can reach, and the call then draws
+    them lazily."""
+    sizes = tuple(islice(_size_gen(poset, counts, ()), SIZE_TUPLE_CACHE + 1))
+    return sizes if len(sizes) <= SIZE_TUPLE_CACHE else None
 
 
 def _search(by_size, poset: ColoredPoset, mode: str):

@@ -45,6 +45,11 @@ class TestBoundCommand:
         code, _, err = run_cli(capsys, "bound", "kt")
         assert code == 2
 
+    def test_n_out_of_range_names_the_given_value(self, capsys):
+        code, _, err = run_cli(capsys, "bound", "kt", "--n", "100000")
+        assert code == 1
+        assert "got 100000" in err
+
     def test_unknown_id_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "bound", "nope", "--n", "4")
         assert code == 1  # domain error from the bound table

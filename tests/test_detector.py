@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from forbidposet import (
+    ColoredPoset,
     ConfigSet,
     Family,
     build_named,
@@ -17,7 +19,8 @@ from forbidposet import (
     middle_levels,
     verify_embedding,
 )
-from forbidposet.detector import _plan
+from forbidposet import detector
+from forbidposet.detector import _plan, _size_tuples
 from forbidposet.lattice import powerset_family
 
 from conftest import (
@@ -37,6 +40,27 @@ D4 = build_named("diamond", 4)
 
 def two_middle_levels_of_4() -> Family:
     return Family(4, [m for m in range(16) if m.bit_count() in (2, 3)])
+
+
+def large_level_violations() -> list:
+    """First violations of every roster config in both modes on full and
+    seeded 60% middle levels, where the candidate domains are large enough
+    for pruning on successor support to fire."""
+    rng = random.Random(1608)
+    roster = named_roster()
+    results = []
+    for n, r in ((7, 2), (8, 3), (9, 2), (10, 4)):
+        full = middle_levels(n, r)
+        sub = Family(n, rng.sample(full.members, round(0.6 * len(full))))
+        for fam in (full, sub):
+            for _label, cfg in roster:
+                for mode in ("standard", "induced"):
+                    results.append(find_violation(fam, cfg, mode))
+    return results
+
+
+# pinned before the detector's bitset domains
+LARGE_LEVELS_DIGEST = "c6d5676193c613b06478ec6e49b348a5db98d676d28993081b049fb1b63ee678"
 
 
 class TestFindEmbedding:
@@ -125,6 +149,55 @@ class TestFirstViolationPinned:
         digest = hashlib.sha256(repr(results).encode()).hexdigest()
         assert digest == "c19f25d4ad3d6e9df5aedd4ed00394d2834a82a30cfa163a7478446ab5d73f72"
 
+    def test_large_levels_digest(self):
+        results = large_level_violations()
+        assert len(results) == 240
+        assert sum(r is None for r in results) == 100
+        digest = hashlib.sha256(repr(results).encode()).hexdigest()
+        assert digest == LARGE_LEVELS_DIGEST
+
+
+class TestCallState:
+    def test_calls_leave_no_cyclic_garbage(self):
+        # a call's state is freed by reference counting alone, whether its
+        # generator runs to the end, is dropped after its first item or is
+        # counted out
+        butterfly = build_named("butterfly_pair")
+        avoiding, violating = middle_levels(8, 2), middle_levels(6, 3)
+        gc.collect()
+        gc.disable()
+        try:
+            assert is_avoiding(avoiding, butterfly)
+            assert gc.collect() == 0
+            assert find_violation(violating, butterfly) is not None
+            assert gc.collect() == 0
+            assert find_violation(violating, D4, "induced") is None
+            assert gc.collect() == 0
+            assert count_embeddings(violating, KT_UP) == 750
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_many_unrelated_colors_draw_sizes_lazily(self):
+        # six incomparable elements of six colors over five levels have 5^6
+        # size choices, past the cache; the first embedding needs few of them
+        poset = ColoredPoset.build(6, [], [1, 2, 3, 4, 5, 6])
+        fam = powerset_family(4)
+        assert _size_tuples(poset, tuple((s, 1) for s in range(5))) is None
+        for mode in ("standard", "induced"):
+            emb = find_embedding(fam, poset, mode)
+            assert emb is not None and verify_embedding(fam, poset, mode, emb)
+
+    def test_lazy_sizes_keep_the_first_violations(self, monkeypatch):
+        # with every size list drawn lazily, the pinned first violations stay
+        monkeypatch.setattr(detector, "SIZE_TUPLE_CACHE", 0)
+        _size_tuples.cache_clear()
+        try:
+            results = large_level_violations()
+        finally:
+            _size_tuples.cache_clear()
+        assert hashlib.sha256(repr(results).encode()).hexdigest() == LARGE_LEVELS_DIGEST
+
 
 class TestIsAvoiding:
     def test_kt_construction_avoids_kt(self):
@@ -178,6 +251,21 @@ class TestCountEmbeddings:
         big = powerset_family(13)
         with pytest.raises(ValueError):
             count_embeddings(big, KT_UP)
+
+    def test_middle_levels_pinned(self):
+        # levels 2..4 of [6], pinned before the bitset domains
+        fam = middle_levels(6, 3)
+        counts = [
+            count_embeddings(fam, poset, mode)
+            for _label, cfg in named_roster()
+            for poset in cfg
+            if poset.p <= 5
+            for mode in ("standard", "induced")
+        ]
+        assert counts == [
+            750, 750, 750, 750, 750, 750, 2280, 2280, 180, 180, 360, 360, 1440, 720, 1440,
+            720, 540, 360, 180, 180, 0, 0, 50, 50, 210, 210, 180, 180, 0, 0,
+        ]
 
     def test_matches_brute_force_randomized(self):
         rng = random.Random(99)

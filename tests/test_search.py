@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -218,6 +219,25 @@ class TestGolden:
         res = exact_max_family(SearchProblem(n=2, configs=build_named("chain", 4), symmetry=symmetry))
         assert res.best_size == 4
         assert (res.nodes_explored, res.prunes) == (5, 3)
+
+
+class TestSearchTreesPinned:
+    """Every roster config at n = 2..4 in both modes: the result and the
+    tree's node and prune counts, pinned before the detector's bitset
+    domains, which must leave every tree exactly as it was."""
+
+    def test_trees_digest(self, roster):
+        trees = []
+        for _label, cfg in roster:
+            for n in (2, 3, 4):
+                for mode in ("standard", "induced"):
+                    res = exact_max_family(SearchProblem(n, cfg, mode))
+                    trees.append(
+                        (res.best_size, res.status, res.witness.members, res.nodes_explored, res.prunes)
+                    )
+        assert len(trees) == 90
+        digest = hashlib.sha256(repr(trees).encode()).hexdigest()
+        assert digest == "e051eb7b15459fdbff4b34fa731cef7a177ec775e30a3943bca3559c84ebf976"
 
 
 class TestStatusesAndOptions:
