@@ -14,9 +14,13 @@ Finding one embedding takes the first item; counting exhausts the generator.
 
 A candidate domain is a bitset over the positions of its element's size
 level.  A placement ANDs the later domains with the placed mask's
-comparability rows, built lazily once per call, and before an element walks
-its domain, each successor with a smaller domain prunes it to the candidates
-below some member of that domain.  The others cannot extend the embedding,
+comparability rows, built lazily once per call.  Before an element walks its
+domain, support counts candidates (Hall's condition on classes that share one
+domain): k successors with one size and one domain D, such as the middles of
+diamond(m) or the two tops of a butterfly, keep only the candidates below at
+least k members of D, and when the element has t - 1 later twins, whose
+images all lie in its domain, each successor keeps only the positions above
+at least t members of it.  Every dropped candidate is one no embedding uses,
 so the embeddings still come in the same order: the same first violations,
 counts and search trees.
 
@@ -52,8 +56,10 @@ class _Plan(NamedTuple):
     class_size: tuple[int, ...]
     lower_colors: tuple[frozenset[int], ...]
     succs: tuple[tuple[int, ...], ...]
+    succ_groups: tuple[tuple[tuple[int, ...], ...], ...]
     later_incomparable: tuple[tuple[int, ...], ...]
     next_twin: tuple[int, ...]
+    twins_left: tuple[int, ...]
     twin_factor: int
 
 
@@ -61,9 +67,11 @@ class _Plan(NamedTuple):
 def _plan(poset: ColoredPoset) -> _Plan:
     """Per-poset backtracking plan: the element assignment order (colors
     ascending, classes together), each color's class size and the colors
-    whose sizes it must exceed, successor lists for domain propagation, for
-    each position the later elements incomparable to its element and the
-    next later twin (-1 if none), and the product of k! over twin classes.
+    whose sizes it must exceed, successor lists for domain propagation, each
+    element's successors grouped by their predecessor sets (the groups
+    support counts), for each position the later elements incomparable to
+    its element, the next later twin (-1 if none) and the number of twins
+    from it on, and the product of k! over twin classes.
 
     A valid coloring is order-preserving, so every successor of an element
     comes later in the order and propagation need not test positions."""
@@ -78,6 +86,12 @@ def _plan(poset: ColoredPoset) -> _Plan:
         lower_colors[colors[b]].add(colors[a])
         preds[b].add(a)
     succs = tuple(tuple(b for b in range(poset.p) if (e, b) in rel) for e in range(poset.p))
+    succ_groups = []
+    for e in range(poset.p):
+        groups: dict[frozenset[int], list[int]] = {}
+        for f in succs[e]:
+            groups.setdefault(frozenset(preds[f]), []).append(f)
+        succ_groups.append(tuple(map(tuple, groups.values())))
     later_incomparable = tuple(
         tuple(f for f in order[pos + 1 :] if (e, f) not in rel and (f, e) not in rel)
         for pos, e in enumerate(order)
@@ -86,10 +100,15 @@ def _plan(poset: ColoredPoset) -> _Plan:
     for e in order:
         twins.setdefault((colors[e], frozenset(preds[e]), succs[e]), []).append(e)
     later_twin = {e: f for cls in twins.values() for e, f in zip(cls, cls[1:])}
+    left = {e: len(cls) - i for cls in twins.values() for i, e in enumerate(cls)}
     next_twin = tuple(later_twin.get(e, -1) for e in order)
+    twins_left = tuple(left[e] for e in order)
     twin_factor = prod(factorial(len(cls)) for cls in twins.values())
     lower = tuple(map(frozenset, lower_colors))
-    return _Plan(order, class_size, lower, succs, later_incomparable, next_twin, twin_factor)
+    return _Plan(
+        order, class_size, lower, succs, tuple(succ_groups), later_incomparable, next_twin,
+        twins_left, twin_factor,
+    )
 
 
 def _check_mode(mode: str) -> None:
@@ -136,8 +155,11 @@ def _embeddings(by_size, poset: ColoredPoset, mode: str):
     positions strictly above it, and in induced mode drops from each
     incomparable element's domain the positions comparable to it.  Before
     an element walks its domain, the support step keeps only the candidates
-    below some member of each smaller successor domain.  Domains only shrink
-    down the tree, so what it drops is dead and the order is unchanged.
+    below at least k members of each smaller successor domain shared by k
+    successors of one size, and a twin class of t left narrows each
+    successor domain to the positions above at least t of the element's
+    candidates.  Domains only shrink down the tree, so what either drops is
+    dead and the order is unchanged.
 
     Placing an element at a position restricts its next twin to the later
     positions of the element's domain.  That is sound because every
@@ -199,30 +221,63 @@ def _row(call: _Call, mask: Mask, size: int) -> int:
     return row
 
 
+def _cover(call: _Call, domain: int, level, size: int, k: int) -> int:
+    """Bitset of the positions in level ``size`` strictly above or below at
+    least k members of ``domain`` (a bitset over ``level``).  ``counts[j]``
+    holds the positions related to more than j members so far; adding a
+    member's row moves each position up one counter, saturating at k."""
+    counts = [0] * k
+    while domain:
+        low = domain & -domain
+        domain ^= low
+        row = _row(call, level[low.bit_length() - 1], size)
+        for j in range(k - 1, 0, -1):
+            counts[j] |= counts[j - 1] & row
+        counts[0] |= row
+    return counts[-1]
+
+
 def _assign(call: _Call, pos: int, domains):
     """Place the element at ``pos`` in turn on each candidate of its domain
-    and recurse; yield the image tuple once every element is placed."""
+    and recurse; yield the image tuple once every element is placed.
+
+    First the support step.  A group of successors with one predecessor set
+    whose k members have one size and one domain D needs k distinct images
+    in D above the element's, so the element keeps the candidates below at
+    least k members of D; a group that differs in size or domain counts each
+    member alone, with k = 1.  Then, if the element has t - 1 later twins,
+    all t images lie in its pruned domain and below every successor, so each
+    successor keeps the positions above at least t of them, and an emptied
+    one ends the call.  ``domains`` is this call's own list (the caller
+    copies it per candidate), so the step narrows it in place."""
     if pos == len(domains):
         yield tuple(call.image)
         return
     plan, size, used = call.plan, call.size, call.used
     e = plan.order[pos]
-    succs, domain = plan.succs[e], domains[e]
-    for f in succs:
-        if domains[f].bit_count() < domain.bit_count():
-            support, rest = 0, domains[f]
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                support |= _row(call, call.level[f][low.bit_length() - 1], size[e])
-            domain &= support
+    succs, domain, level = plan.succs[e], domains[e], call.level
+    for group in plan.succ_groups[e]:
+        f, k = group[0], len(group)
+        if k == 1 or all(domains[g] == domains[f] and size[g] == size[f] for g in group):
+            group = (f,)
+        else:
+            k = 1
+        for f in group:
+            if domains[f].bit_count() < domain.bit_count():
+                domain &= _cover(call, domains[f], level[f], size[e], k)
+    twins = plan.twins_left[pos]
+    if twins > 1:
+        for f in succs:
+            domains[f] &= _cover(call, domain, level[e], size[f], twins)
+            if not domains[f]:
+                return
     twin = plan.next_twin[pos]
     incomparable = plan.later_incomparable[pos] if call.induced else ()
     rest = domain
     while rest:
         low = rest & -rest
         rest ^= low
-        mask = call.level[e][low.bit_length() - 1]
+        mask = level[e][low.bit_length() - 1]
         if mask in used:
             continue
         out = list(domains)

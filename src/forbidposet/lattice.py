@@ -120,16 +120,21 @@ class Family:
 
     @classmethod
     def from_text(cls, text: str) -> "Family":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("n="):
+        """Parse the line-based format; errors name the line of ``text``
+        they occur on, blank lines counted."""
+        lines = text.splitlines()
+        first = next((i for i, ln in enumerate(lines) if ln.strip()), None)
+        if first is None or not lines[first].startswith("n="):
             raise ValueError("family text must start with an 'n=<int>' line")
         try:
-            n = int(lines[0][2:])
+            n = int(lines[first][2:])
         except ValueError:
-            raise ValueError(f"bad ground-set line: {lines[0]!r}") from None
+            raise ValueError(f"line {first + 1}: bad ground-set line {lines[first]!r}") from None
         masks = []
-        for ln_no, ln in enumerate(lines[1:], start=2):
+        for ln_no, ln in enumerate(lines[first + 1 :], start=first + 2):
             ln = ln.strip()
+            if not ln:
+                continue
             if ln == "-":
                 masks.append(0)
                 continue
@@ -139,7 +144,10 @@ class Family:
                 raise ValueError(f"line {ln_no}: bad subset {ln!r}") from None
             if elems != sorted(elems) or len(set(elems)) != len(elems):
                 raise ValueError(f"line {ln_no}: elements must be strictly ascending")
-            masks.append(mask_of(elems, n))
+            try:
+                masks.append(mask_of(elems, n))
+            except ValueError as exc:
+                raise ValueError(f"line {ln_no}: {exc}") from None
         return cls(n, masks)
 
     def to_json_obj(self) -> dict:

@@ -145,6 +145,18 @@ class TestCheckCommand:
         assert code == 1
 
     @pytest.mark.parametrize(
+        "text, line",
+        [("n=3\n\n\n2,1\n", "line 4: elements"), ("n=3\n1\n\n1,4\n", "line 4: element 4")],
+        ids=["unsorted", "out_of_range"],
+    )
+    def test_bad_family_text_names_its_line(self, capsys, tmp_path, text, line):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        code, out, err = run_cli(capsys, "check", "--family", str(bad), "--config", "kt_pair")
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {line}")
+
+    @pytest.mark.parametrize(
         "option, doc",
         [
             ("--family", {"n": 4, "sets": 5}),

@@ -251,3 +251,18 @@ class TestFamily:
             Family.from_text("n=3\n1,1\n")
         with pytest.raises(ValueError):
             Family.from_text("n=3\n1,x\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("n=3\n\n\n2,1\n", "line 4: elements must be strictly ascending"),
+            ("n=3\n1\n\n1,4\n", "line 4: element 4 outside [1, 3]"),
+            ("\nn=3\n  \n1\n1,x\n", "line 5: bad subset '1,x'"),
+            ("\n\nn=x\n", "line 3: bad ground-set line 'n=x'"),
+        ],
+        ids=["unsorted", "out_of_range", "bad_subset", "bad_ground_set"],
+    )
+    def test_text_errors_name_the_line_blank_lines_counted(self, text, message):
+        with pytest.raises(ValueError) as info:
+            Family.from_text(text)
+        assert str(info.value) == message
