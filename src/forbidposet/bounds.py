@@ -196,7 +196,7 @@ def constant_for_colored_poset(poset: ColoredPoset) -> Fraction:
     return general_constant(poset.color_class_sizes())
 
 
-def _order_preserving_colorings(poset_relation, p: int):
+def _order_preserving_colorings(rows, p: int):
     """All order-preserving surjective colorings of a p-element strict poset,
     as tuples normalized to colors 1..k."""
     colorings = []
@@ -210,8 +210,8 @@ def _order_preserving_colorings(poset_relation, p: int):
             return
         for c in range(1, p + 1):
             if all(
-                (colors[f] < c if (f, e) in poset_relation else True)
-                and (c < colors[f] if (e, f) in poset_relation else True)
+                (colors[f] < c if rows[f] >> e & 1 else True)
+                and (c < colors[f] if rows[e] >> f & 1 else True)
                 for f in range(e)
             ):
                 colors[e] = c
@@ -226,10 +226,11 @@ def constant_for_poset_any_coloring(poset: ColoredPoset) -> Fraction:
     """Max of the general constant over every order-preserving coloring of
     the underlying poset, so the bound is coloring-independent.  Enumeration
     is guarded at 8 elements."""
+    require_valid(poset)
     if poset.p > 8:
         raise ValueError("coloring enumeration is limited to posets with <= 8 elements")
     best = Fraction(0)
-    for coloring in _order_preserving_colorings(poset.relation, poset.p):
+    for coloring in _order_preserving_colorings(poset.rows, poset.p):
         sizes: dict[int, int] = {}
         for c in coloring:
             sizes[c] = sizes.get(c, 0) + 1

@@ -6,18 +6,17 @@ coloring is how "these sets have the same cardinality" is expressed.  Distinct
 colors do NOT force distinct sizes.  A ConfigSet is a disjunction-free list of
 such posets, all of which are forbidden at once (an "either ... or ..."
 restriction becomes two posets in one ConfigSet).
+
+A poset holds its closed relation once, as successor bitsets (``rows``):
+``ColoredPoset.build`` closes any generating set of pairs into them, direct
+construction takes the rows, and ``relation`` is the pair view JSON writes.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
-
-
-def transitive_closure(p: int, pairs) -> frozenset[tuple[int, int]]:
-    """Transitive closure of a relation on 0..p-1."""
-    return _relation(_closure_rows(p, pairs))
+from dataclasses import dataclass
 
 
 def _closure_rows(p: int, pairs) -> tuple[int, ...]:
@@ -52,19 +51,6 @@ def _closure_rows(p: int, pairs) -> tuple[int, ...]:
     return tuple(rows)
 
 
-def _relation(rows) -> frozenset[tuple[int, int]]:
-    """The pairs (a, b) with bit b set in row a."""
-    return frozenset(
-        [
-            (a, b)
-            for a, row in enumerate(rows)
-            if row
-            for b, bit in enumerate(bin(row)[:1:-1])
-            if bit == "1"
-        ]
-    )
-
-
 @dataclass(frozen=True)
 class Violation:
     """First invariant broken by a candidate colored poset."""
@@ -76,32 +62,41 @@ class Violation:
 
 @dataclass(frozen=True)
 class ColoredPoset:
-    """Strict poset on elements 0..p-1 with relation stored transitively
-    closed, plus a coloring with values 1..k.
+    """Strict poset on elements 0..p-1, its closed relation held as successor
+    bitsets (``rows[a]``: the elements above a), plus a coloring with values
+    1..k.  ``build`` closes any generating set of pairs into the rows; direct
+    construction takes them as they are.
 
     Valid instances are irreflexive/acyclic, every color 1..k occurs, and the
     coloring is order-preserving: a < b implies color(a) < color(b).
-    Construction closes the relation but does not validate, so invalid
-    candidates can be built and then inspected with ``validate``.
+    Neither way of constructing validates, so invalid candidates can be built
+    and then inspected with ``validate``.
     """
 
     p: int
-    relation: frozenset[tuple[int, int]]
+    rows: tuple[int, ...]
     colors: tuple[int, ...]
     name: str | None = None
-    # the successor bitset of each element, set only by ``build`` from the
-    # rows it made ``relation`` of, so ``validate`` need not walk the pairs
-    _rows: tuple[int, ...] | None = field(init=False, default=None, compare=False, repr=False)
 
     @classmethod
     def build(cls, p: int, pairs, colors, name: str | None = None) -> "ColoredPoset":
-        rows = _closure_rows(p, pairs)
-        poset = cls(p, _relation(rows), tuple(colors), name)
-        object.__setattr__(poset, "_rows", rows)
-        return poset
+        return cls(p, _closure_rows(p, pairs), tuple(colors), name)
+
+    @property
+    def relation(self) -> frozenset[tuple[int, int]]:
+        """The pairs (a, b) with bit b set in row a, as JSON writes them."""
+        return frozenset(
+            [
+                (a, b)
+                for a, row in enumerate(self.rows)
+                if row
+                for b, bit in enumerate(bin(row)[:1:-1])
+                if bit == "1"
+            ]
+        )
 
     def less(self, a: int, b: int) -> bool:
-        return (a, b) in self.relation
+        return bool(self.rows[a] >> b & 1)
 
     @property
     def num_colors(self) -> int:
@@ -116,13 +111,13 @@ class ColoredPoset:
         return tuple(sizes)
 
     def dual(self) -> "ColoredPoset":
-        """Order-dual: relation reversed, colors mirrored to stay
+        """Order-dual: rows transposed, colors mirrored to stay
         order-preserving."""
-        k = self.num_colors
-        rel = frozenset((b, a) for a, b in self.relation)
+        k, p, rows = self.num_colors, self.p, self.rows
+        transposed = tuple(sum(1 << a for a in range(p) if rows[a] >> b & 1) for b in range(p))
         colors = tuple(k + 1 - c for c in self.colors)
         name = f"dual({self.name})" if self.name else None
-        return ColoredPoset(self.p, rel, colors, name)
+        return ColoredPoset(p, transposed, colors, name)
 
 
 def validate(poset: ColoredPoset) -> Violation | None:
@@ -130,7 +125,7 @@ def validate(poset: ColoredPoset) -> Violation | None:
     pair.  Checks run in a fixed order, each naming its first failing pair
     in sorted order, so the report is deterministic.
 
-    Each check runs on successor bitsets, and only a failing check lists
+    Each check runs on the successor rows, and only a failing check lists
     and sorts its pairs, so a valid poset is never sorted.
     """
     p = poset.p
@@ -139,26 +134,23 @@ def validate(poset: ColoredPoset) -> Violation | None:
     colors = poset.colors
     if len(colors) != p:
         return Violation("colors", f"expected {p} colors, got {len(colors)}")
-    rel = poset.relation
-    rows = poset._rows
-    if rows is None:  # not built: the rows come from the pairs
-        rows = [0] * p
-        for a, b in rel:
-            if not (0 <= a < p and 0 <= b < p):
-                a, b = min((a, b) for a, b in rel if not (0 <= a < p and 0 <= b < p))
-                return Violation("elements", f"relation pair ({a}, {b}) out of range", (a, b))
-            rows[a] |= 1 << b
-    # one pass over the pairs (a, mid): colors ascend along each, and row a
-    # holds row mid; ascending colors rule out cycles
+    rows = poset.rows
+    if len(rows) != p or any(row >> p for row in rows):
+        outside = [(a, b) for a, b in poset.relation if a >= p or b >= p]
+        if not outside:
+            return Violation("elements", f"successor rows must be {p} bitsets over 0..{p - 1}")
+        a, b = min(outside)
+        return Violation("elements", f"relation pair ({a}, {b}) out of range", (a, b))
+    # one pass over the pairs (a, b): colors ascend along each, and row a
+    # holds row b; ascending colors rule out cycles
     ascending = closed = True
-    for mid in range(p):
-        above, bit, color = rows[mid], 1 << mid, colors[mid]
-        for a, row in enumerate(rows):
-            if row & bit:
-                ascending = ascending and colors[a] < color
+    for row, color in zip(rows, colors):
+        for bit, above, above_color in zip(bin(row)[:1:-1], rows, colors):
+            if bit == "1":
+                ascending = ascending and color < above_color
                 closed = closed and row | above == row
     if not ascending:
-        cycle = [(a, b) for a, b in rel if (b, a) in rel]
+        cycle = [(a, b) for a, b in poset.relation if rows[b] >> a & 1]
         if cycle:
             a, b = min(cycle)
             if a == b:
@@ -167,7 +159,7 @@ def validate(poset: ColoredPoset) -> Violation | None:
     if not closed:
         # the first open pair (a, b); the lowest bit of rows[b] missing from
         # rows[a] names c
-        a, b = min((a, b) for a, b in rel if rows[b] & ~rows[a])
+        a, b = min((a, b) for a, b in poset.relation if rows[b] & ~rows[a])
         missing = rows[b] & ~rows[a]
         c = (missing & -missing).bit_length() - 1
         return Violation("acyclic", f"relation not transitively closed at ({a}, {c})", (a, c))
@@ -179,7 +171,7 @@ def validate(poset: ColoredPoset) -> Violation | None:
         if c not in used:
             return Violation("colors", f"color {c} unused (colors must cover 1..k)")
     if not ascending:
-        a, b = min((a, b) for a, b in rel if colors[a] >= colors[b])
+        a, b = min((a, b) for a, b in poset.relation if colors[a] >= colors[b])
         return Violation(
             "order-preserving",
             f"comparable elements {a} < {b} need increasing colors, got "
@@ -380,6 +372,8 @@ def parse_config(text: str) -> ConfigSet:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"config parse error: {exc}") from None
+    except RecursionError:  # the decoder recurses once per bracket
+        raise ValueError("config parse error: JSON is nested too deeply") from None
     if isinstance(obj, dict) and "configs" in obj:
         items = obj["configs"]
         if not isinstance(items, list) or not items:

@@ -77,28 +77,27 @@ def _plan(poset: ColoredPoset) -> _Plan:
     comes later in the order and propagation need not test positions."""
     k = poset.num_colors
     colors = poset.colors
-    rel = poset.relation
+    rows, preds = poset.rows, poset.dual().rows
     order = tuple(sorted(range(poset.p), key=colors.__getitem__))
     class_size = (0, *poset.color_class_sizes())
+    succs = tuple(tuple(b for b in range(poset.p) if row >> b & 1) for row in rows)
     lower_colors: list[set[int]] = [set() for _ in range(k + 1)]
-    preds: list[set[int]] = [set() for _ in range(poset.p)]
-    for a, b in rel:
-        lower_colors[colors[b]].add(colors[a])
-        preds[b].add(a)
-    succs = tuple(tuple(b for b in range(poset.p) if (e, b) in rel) for e in range(poset.p))
+    for a, above in enumerate(succs):
+        for b in above:
+            lower_colors[colors[b]].add(colors[a])
     succ_groups = []
     for e in range(poset.p):
-        groups: dict[frozenset[int], list[int]] = {}
+        groups: dict[int, list[int]] = {}
         for f in succs[e]:
-            groups.setdefault(frozenset(preds[f]), []).append(f)
+            groups.setdefault(preds[f], []).append(f)
         succ_groups.append(tuple(map(tuple, groups.values())))
     later_incomparable = tuple(
-        tuple(f for f in order[pos + 1 :] if (e, f) not in rel and (f, e) not in rel)
+        tuple(f for f in order[pos + 1 :] if not (rows[e] >> f & 1 or rows[f] >> e & 1))
         for pos, e in enumerate(order)
     )
     twins: dict[tuple, list[int]] = {}
     for e in order:
-        twins.setdefault((colors[e], frozenset(preds[e]), succs[e]), []).append(e)
+        twins.setdefault((colors[e], preds[e], rows[e]), []).append(e)
     later_twin = {e: f for cls in twins.values() for e, f in zip(cls, cls[1:])}
     left = {e: len(cls) - i for cls in twins.values() for i, e in enumerate(cls)}
     next_twin = tuple(later_twin.get(e, -1) for e in order)

@@ -172,7 +172,10 @@ class Family:
         """Parse either the line-based text format or the JSON object format."""
         stripped = text.lstrip()
         if stripped.startswith("{"):
-            return cls.from_json_obj(json.loads(text))
+            try:
+                return cls.from_json_obj(json.loads(text))
+            except RecursionError:  # the decoder recurses once per bracket
+                raise ValueError("family JSON is nested too deeply") from None
         return cls.from_text(text)
 
 

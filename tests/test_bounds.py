@@ -4,6 +4,7 @@ import pytest
 
 from forbidposet import (
     BOUND_IDS,
+    ColoredPoset,
     build_named,
     constant_for_colored_poset,
     constant_for_poset_any_coloring,
@@ -198,6 +199,13 @@ class TestGeneralConstant:
                 assert constant_for_poset_any_coloring(poset) >= constant_for_colored_poset(
                     poset
                 )
+
+    def test_any_coloring_rejects_invalid_poset(self):
+        # a cycle has no order-preserving coloring, so a maximum over its
+        # colorings would read 0
+        cycle = ColoredPoset.build(2, [(0, 1), (1, 0)], [1, 2])
+        with pytest.raises(ValueError, match=r"invalid colored poset \(acyclic\)"):
+            constant_for_poset_any_coloring(cycle)
 
     def test_any_coloring_guard(self):
         (big,) = build_named("diamond", 7).configs  # 9 elements

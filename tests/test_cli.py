@@ -505,6 +505,27 @@ class TestModuleEntry:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["value"] == "140"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("lubell", "--family", "DEEP"), ("check", "--family", "FAMILY", "--config", "DEEP")],
+        ids=["family", "config"],
+    )
+    def test_deeply_nested_json_is_domain_error(self, tmp_path, argv):
+        # the JSON decoder recurses once per bracket
+        deep = tmp_path / "deep.json"
+        deep.write_text('{"n": ' + "[" * 200_000 + "]" * 200_000 + "}")
+        paths = {"DEEP": str(deep), "FAMILY": write_family(tmp_path, kt_construction(4))}
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "forbidposet", *(paths.get(a, a) for a in argv)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
+
     def test_closed_stdout_pipe_is_not_an_error(self):
         # middle(16, 4) prints 43,758 lines, more than a pipe buffer holds, so
         # the writer is still printing when the reader goes away

@@ -1,6 +1,7 @@
 import random
+import tracemalloc
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,12 +10,13 @@ from forbidposet import (
     ColoredPoset,
     ConfigSet,
     build_named,
+    load_config,
     parse_config,
     parse_config_id,
     serialize_config,
     validate,
 )
-from forbidposet.configs import ConfigId, Violation, transitive_closure
+from forbidposet.configs import ConfigId, Violation
 
 from conftest import colored_posets
 
@@ -41,13 +43,14 @@ class TestValidate:
         assert v is not None and v.kind == "colors"
 
     def test_not_closed_relation_reported(self):
-        raw = ColoredPoset(3, frozenset([(0, 1), (1, 2)]), (1, 2, 3))
+        # 0 < 1 < 2 without 0 < 2
+        raw = ColoredPoset(3, (0b010, 0b100, 0), (1, 2, 3))
         v = validate(raw)
         assert v is not None and v.kind == "acyclic" and v.pair == (0, 2)
 
     def test_first_unclosed_pair_reported(self):
         # (0, 1) is closed; (0, 2) misses both 3 and 4, and the smaller is named
-        raw = ColoredPoset(5, frozenset([(0, 1), (0, 2), (2, 3), (2, 4)]), (1, 2, 2, 3, 3))
+        raw = ColoredPoset(5, (0b00110, 0, 0b11000, 0, 0), (1, 2, 2, 3, 3))
         v = validate(raw)
         assert v is not None and v.kind == "acyclic" and v.pair == (0, 3)
 
@@ -68,8 +71,8 @@ class TestValidate:
         assert len(reports) == 8 and min(reports.values()) >= 20, reports
 
     def test_built_posets_match_brute_force(self):
-        # build closes the relation and keeps its successor rows, which
-        # validate then checks instead of the pairs
+        # build closes the generating pairs, so only cycles and colorings
+        # are left to fail
         rng = random.Random(2025)
         reports = Counter()
         for _ in range(2000):
@@ -83,14 +86,27 @@ class TestValidate:
         assert len(reports) == 4 and min(reports.values()) >= 20, reports
 
     def test_replaced_relation_is_validated(self):
-        # the rows build keeps describe its own relation, not a replaced one
+        # the rows are the poset's only relation, so a replaced one is the
+        # one validated, and the pair view cannot be set beside them
         poset = ColoredPoset.build(2, [(0, 1)], [1, 2])
-        cyclic = replace(poset, relation=frozenset({(0, 1), (1, 0)}))
+        cyclic = replace(poset, rows=(0b10, 0b01))
         assert validate(cyclic) == Violation("acyclic", "elements 0 and 1 lie on a cycle", (0, 1))
         with pytest.raises(ValueError, match="cycle"):
             ConfigSet((cyclic,))
+        assert [f.name for f in fields(ColoredPoset)] == ["p", "rows", "colors", "name"]
         with pytest.raises(TypeError):
-            ColoredPoset(2, frozenset({(0, 1), (1, 0)}), (1, 2), _rows=(2, 0))
+            replace(poset, relation=frozenset({(0, 1), (1, 0)}))
+
+    def test_row_count_checked(self):
+        for rows in ((0b10,), (0b10, 0, 0, 0)):
+            assert validate(ColoredPoset(3, rows, (1, 2, 3))) == Violation(
+                "elements", "successor rows must be 3 bitsets over 0..2"
+            )
+
+
+def closure(p, pairs):
+    """The closed relation that build makes of a generating set."""
+    return ColoredPoset.build(p, pairs, [1] * p).relation
 
 
 def random_raw_poset(rng):
@@ -106,15 +122,20 @@ def random_raw_poset(rng):
         if a != b or rng.random() < 0.05:
             pairs.add((a, b))
     if rng.random() < 0.5:
-        pairs = set(transitive_closure(p, pairs))
+        pairs = set(closure(p, pairs))
         pairs -= {pair for pair in pairs if rng.random() < 0.05}
     if rng.random() < 0.05:
-        pairs.add((rng.choice([-1, p]), rng.randrange(p)))
+        # out of range: a row past the last element, or a bit past it
+        a, b = rng.choice([p, p + 3]), rng.randrange(p)
+        pairs.add((a, b) if rng.random() < 0.5 else (b, a))
     if rng.random() < 0.7:
         colors = tuple(1 + rank[e] for e in range(p))
     else:
         colors = tuple(rng.choice([0, 1, 1, 2, 2, 3, 4]) for _ in range(p))
-    return ColoredPoset(p, frozenset(pairs), colors)
+    rows = [0] * max([p, *(a + 1 for a, _ in pairs)])
+    for a, b in pairs:
+        rows[a] |= 1 << b
+    return ColoredPoset(p, tuple(rows), colors)
 
 
 def first_violation_brute_force(poset):
@@ -156,11 +177,11 @@ def first_violation_brute_force(poset):
 class TestClosure:
     def test_idempotent(self):
         pairs = [(0, 1), (1, 2), (3, 1)]
-        once = transitive_closure(4, pairs)
-        assert transitive_closure(4, once) == once
+        once = closure(4, pairs)
+        assert closure(4, once) == once
 
     def test_chain_closure(self):
-        assert transitive_closure(3, [(0, 1), (1, 2)]) == frozenset(
+        assert closure(3, [(0, 1), (1, 2)]) == frozenset(
             [(0, 1), (1, 2), (0, 2)]
         )
 
@@ -174,11 +195,11 @@ class TestClosure:
             closed = set(pairs)
             while more := {(a, d) for a, b in closed for c, d in closed if b == c} - closed:
                 closed |= more
-            assert transitive_closure(p, pairs) == closed, (p, pairs)
+            assert closure(p, pairs) == closed, (p, pairs)
 
     def test_pair_outside_rejected(self):
         with pytest.raises(ValueError, match=r"relation pair \(0, 3\) outside 0..2"):
-            transitive_closure(3, [(0, 1), (0, 3)])
+            ColoredPoset.build(3, [(0, 1), (0, 3)], [1, 2, 3])
         with pytest.raises(ValueError, match=r"relation pair \(-1, 0\) outside 0..2"):
             ColoredPoset.build(3, [(-1, 0)], [1, 2, 3])
 
@@ -254,6 +275,19 @@ class TestBuilders:
             build_named("nonsense")
 
 
+class TestLongChain:
+    def test_load_holds_rows_not_pairs(self):
+        # chain(1000) has 499,500 comparable pairs; loading it as rows peaks
+        # below 1 MB, where a frozenset of the pairs peaked above 60 MB
+        tracemalloc.start()
+        try:
+            load_config("chain(1000)")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, peak
+
+
 class TestConfigIds:
     def test_parse_plain_and_params(self):
         assert parse_config_id("kt_pair") == ConfigId("kt_pair")
@@ -297,7 +331,7 @@ class TestSerialization:
         def no_closure(p, pairs):
             raise AssertionError("closure computed for a malformed config")
 
-        monkeypatch.setattr("forbidposet.configs.transitive_closure", no_closure)
+        monkeypatch.setattr("forbidposet.configs._closure_rows", no_closure)
         with pytest.raises(ValueError, match="colors"):
             parse_config('{"elements": 16000, "relations": [], "colors": [1]}')
 

@@ -239,6 +239,10 @@ class TestIsAvoiding:
         assert is_avoiding(fam, D4)
         assert is_avoiding(fam, D4, mode="induced")
 
+    def test_long_chain_in_small_family(self):
+        # chain(1000) has 499,500 comparable pairs and cannot fit in 12 sets
+        assert find_violation(kt_construction(5), build_named("chain", 1000)) is None
+
 
 class TestCountEmbeddings:
     def test_swap_gives_two(self):
