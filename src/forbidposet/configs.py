@@ -120,6 +120,22 @@ class ColoredPoset:
         return ColoredPoset(p, transposed, colors, name)
 
 
+def _closed(rows: tuple[int, ...]) -> bool:
+    """Whether every row holds the rows of its elements, given that no
+    element lies in its own row.  Row a skips an element b lying in a row b'
+    it has already read: row b' is then a proper subset of row a (b' is not
+    in its own row), so by induction on row size it holds row b too."""
+    for row in rows:
+        unread = row
+        while unread:
+            low = unread & -unread
+            above = rows[low.bit_length() - 1]
+            if above & ~row:
+                return False
+            unread &= ~(above | low)
+    return True
+
+
 def validate(poset: ColoredPoset) -> Violation | None:
     """None if all invariants hold, else a report naming the first violated
     pair.  Checks run in a fixed order, each naming its first failing pair
@@ -141,14 +157,15 @@ def validate(poset: ColoredPoset) -> Violation | None:
             return Violation("elements", f"successor rows must be {p} bitsets over 0..{p - 1}")
         a, b = min(outside)
         return Violation("elements", f"relation pair ({a}, {b}) out of range", (a, b))
-    # one pass over the pairs (a, b): colors ascend along each, and row a
-    # holds row b; ascending colors rule out cycles
-    ascending = closed = True
-    for row, color in zip(rows, colors):
-        for bit, above, above_color in zip(bin(row)[:1:-1], rows, colors):
-            if bit == "1":
-                ascending = ascending and color < above_color
-                closed = closed and row | above == row
+    # colors ascend along every pair (a, b) when row a misses every element
+    # colored at most colors[a]; ascending colors rule out cycles
+    of_color: dict[int, int] = {}
+    for a, c in enumerate(colors):
+        of_color[c] = of_color.get(c, 0) | 1 << a
+    at_most, below = {}, 0
+    for c in sorted(of_color):
+        below = at_most[c] = below | of_color[c]
+    ascending = not any(row & at_most[c] for row, c in zip(rows, colors))
     if not ascending:
         cycle = [(a, b) for a, b in poset.relation if rows[b] >> a & 1]
         if cycle:
@@ -156,7 +173,9 @@ def validate(poset: ColoredPoset) -> Violation | None:
             if a == b:
                 return Violation("acyclic", f"element {a} relates to itself (cycle)", (a, a))
             return Violation("acyclic", f"elements {a} and {b} lie on a cycle", (a, b))
-    if not closed:
+    # an element in its own row breaks ascending colors and is a cycle
+    # reported above, as _closed requires
+    if not _closed(rows):
         # the first open pair (a, b); the lowest bit of rows[b] missing from
         # rows[a] names c
         a, b = min((a, b) for a, b in poset.relation if rows[b] & ~rows[a])

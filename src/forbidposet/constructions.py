@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .lattice import Family, binomial, ground_mask, mask_of
+from .lattice import Family, binomial, ground_mask
 
 
 def middle_levels(n: int, r: int) -> Family:
@@ -16,10 +16,10 @@ def middle_levels(n: int, r: int) -> Family:
     ground_mask(n)  # first: past its guard the enumeration below would never finish
     lo = (n - r + 1) // 2
     hi = (n + r + 1) // 2 - 1
+    bits = [1 << i for i in range(n)]
     masks = []
     for size in range(lo, hi + 1):
-        for combo in combinations(range(1, n + 1), size):
-            masks.append(mask_of(combo, n))
+        masks += map(sum, combinations(bits, size))
     return Family(n, masks)
 
 
@@ -33,11 +33,9 @@ def kt_construction(n: int) -> Family:
         raise ValueError(f"kt_construction requires n >= 2, got {n}")
     ground_mask(n)  # first: past its guard the enumeration below would never finish
     low, high = n // 2, (n + 1) // 2
-    masks = []
-    for combo in combinations(range(2, n + 1), low):
-        masks.append(mask_of(combo, n))
-    for combo in combinations(range(2, n + 1), high - 1):
-        masks.append(mask_of(combo, n) | 1)
+    bits = [1 << i for i in range(1, n)]  # elements 2..n
+    masks = list(map(sum, combinations(bits, low)))
+    masks += [sum(combo, 1) for combo in combinations(bits, high - 1)]
     return Family(n, masks)
 
 

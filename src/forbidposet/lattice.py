@@ -14,6 +14,8 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from functools import cache
+from operator import getitem
 
 Mask = int
 
@@ -53,6 +55,16 @@ def elems_of(mask: Mask) -> tuple[int, ...]:
 def set_text(elems) -> str:
     """One set as the family text format writes it: "1,3", or "-" if empty."""
     return ",".join(map(str, elems)) if elems else "-"
+
+
+@cache
+def _byte_texts(chunks: int) -> tuple[tuple[str, ...], ...]:
+    """For chunk c < ``chunks`` and byte value b, the elements 8c+1..8c+8
+    that b holds, as set_text lists them ("" for b = 0)."""
+    return tuple(
+        tuple(",".join(str(8 * c + i + 1) for i in range(8) if b >> i & 1) for b in range(256))
+        for c in range(chunks)
+    )
 
 
 class Family:
@@ -115,13 +127,26 @@ class Family:
     # -- serialization ------------------------------------------------------
 
     def to_text(self) -> str:
-        lines = [f"n={self.n}", *(set_text(elems_of(m)) for m in self.members)]
+        """The line-based format: each member is its bytes' cached texts
+        joined, which is set_text(elems_of(member))."""
+        chunks = (self.n + 7) // 8
+        texts = _byte_texts(chunks)
+        lines = [f"n={self.n}"]
+        lines += [
+            ",".join(filter(None, map(getitem, texts, m.to_bytes(chunks, "little")))) or "-"
+            for m in self.members
+        ]
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "Family":
         """Parse the line-based format; errors name the line of ``text``
-        they occur on, blank lines counted."""
+        they occur on, blank lines counted.
+
+        A line of canonical elements ("1".."n", no spaces or signs) is read
+        by table lookup; any other line, and any line the lookup rejects,
+        goes through int() and mask_of, which alone accept other spellings
+        and word the errors."""
         lines = text.splitlines()
         first = next((i for i, ln in enumerate(lines) if ln.strip()), None)
         if first is None or not lines[first].startswith("n="):
@@ -130,8 +155,19 @@ class Family:
             n = int(lines[first][2:])
         except ValueError:
             raise ValueError(f"line {first + 1}: bad ground-set line {lines[first]!r}") from None
+        bit_of = {str(e): 1 << (e - 1) for e in range(1, min(n, MAX_GROUND) + 1)}.__getitem__
         masks = []
         for ln_no, ln in enumerate(lines[first + 1 :], start=first + 2):
+            try:
+                picked = list(map(bit_of, ln.split(",")))
+            except KeyError:
+                pass
+            else:
+                # distinct bits in ascending order: strictly ascending elements
+                mask = sum(picked)
+                if mask.bit_count() == len(picked) and picked == sorted(picked):
+                    masks.append(mask)
+                    continue
             ln = ln.strip()
             if not ln:
                 continue

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -86,6 +87,25 @@ class TestConstructCommand:
         code, out, _ = run_cli(capsys, "construct", "complement", "--family", path)
         assert code == 0
         assert Family.from_text(out) == Family.from_sets(3, [[1, 2, 3], [3]])
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["middle", "--n", "16", "--r", "4"],
+             "264adf8118b58b29406b57f630784ab4d75de9350a06715e09bf3bd678c97feb"),
+            (["middle", "--n", "10", "--r", "4"],
+             "c7eeedb7ee8abe172c2b46d4744bee7946506ab605c7408e1633cdd0aea0016d"),
+            (["kt", "--n", "8"],
+             "5299a857f88ccafc4679cb3fa5fd41999d57297b28484a35f3ab7084df03ab0d"),
+        ],
+        ids=["middle16_4", "middle10_4", "kt8"],
+    )
+    def test_text_output_is_pinned(self, capsys, argv, digest):
+        # digests of the output of the per-element constructions and writer
+        # that the bit sums and byte tables replaced: order and text are fixed
+        code, out, _ = run_cli(capsys, "construct", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_missing_required_param(self, capsys):
         code, _, _ = run_cli(capsys, "construct", "middle", "--n", "4")

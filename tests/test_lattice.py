@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from forbidposet import (
     Family,
@@ -21,6 +22,7 @@ from forbidposet.lattice import (
     powerset_family,
     q_value_direct,
     q_values_upto,
+    set_text,
     tail_k,
 )
 
@@ -259,10 +261,68 @@ class TestFamily:
             ("n=3\n1\n\n1,4\n", "line 4: element 4 outside [1, 3]"),
             ("\nn=3\n  \n1\n1,x\n", "line 5: bad subset '1,x'"),
             ("\n\nn=x\n", "line 3: bad ground-set line 'n=x'"),
+            ("n=3\n0,1\n", "line 2: element 0 outside [1, 3]"),
+            ("n=64\n1,65\n", "line 2: element 65 outside [1, 64]"),
+            ("n=3\n1,2,\n", "line 2: bad subset '1,2,'"),
+            ("n=3\n1,1\n", "line 2: elements must be strictly ascending"),
         ],
-        ids=["unsorted", "out_of_range", "bad_subset", "bad_ground_set"],
+        ids=[
+            "unsorted", "out_of_range", "bad_subset", "bad_ground_set",
+            "element_zero", "element_n_plus_1_at_64", "trailing_comma", "duplicate",
+        ],
     )
     def test_text_errors_name_the_line_blank_lines_counted(self, text, message):
         with pytest.raises(ValueError) as info:
             Family.from_text(text)
         assert str(info.value) == message
+
+    def test_text_accepts_every_int_spelling(self):
+        # the table only knows canonical elements; other spellings reach int()
+        spelled = Family.from_text("n=4\n01\n 2 , 3\n+3\n1,+4\n")
+        assert spelled.members == Family.from_text("n=4\n1\n2,3\n3\n1,4\n").members
+        assert spelled.members == (0b0001, 0b0110, 0b0100, 0b1001)
+
+    def test_canonical_text_never_calls_mask_of(self, monkeypatch):
+        # a canonical file is read by table lookup alone; any other spelling
+        # must still reach mask_of, which proves the counter sees the calls
+        from forbidposet import lattice
+
+        calls = []
+
+        def counting_mask_of(elems, n):
+            calls.append(elems)
+            return mask_of(elems, n)
+
+        monkeypatch.setattr(lattice, "mask_of", counting_mask_of)
+        fam = Family(64, [0, ground_mask(64), 1 << 63, 0b1011 << 30] + list(range(1, 300)))
+        assert Family.from_text(fam.to_text()) == fam
+        assert calls == []
+        Family.from_text("n=3\n1, 2\n")
+        assert calls == [[1, 2]]
+
+
+def old_to_text(family):
+    """The writer before the byte tables: one set_text(elems_of(m)) per
+    member; oracle for Family.to_text."""
+    lines = [f"n={family.n}", *(set_text(elems_of(m)) for m in family.members)]
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def ground_families(draw):
+    n = draw(st.integers(1, 64))
+    full = ground_mask(n)
+    masks = st.one_of(st.just(0), st.just(full), st.integers(0, full))
+    return Family(n, draw(st.lists(masks, max_size=20)))
+
+
+class TestTextRoundTrip:
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(ground_families())
+    @example(Family(64, [0, ground_mask(64), 1 << 63, 1, 0xFF00]))
+    @example(Family(13, [ground_mask(13), 0, 1 << 12, 0b1010101]))
+    @example(Family(1, [0, 1]))
+    def test_round_trip_matches_old_writer(self, family):
+        text = family.to_text()
+        assert text == old_to_text(family)
+        assert Family.from_text(text).members == family.members
