@@ -49,31 +49,55 @@ def estimate_lubell(family: Family, trials: int, seed: int) -> ChainSampleReport
     elements one at a time: digit d of radix k takes the d-th of the k
     elements left and moves the last one into its slot.  Each pick extends
     the current chain set by one element, which is tested for membership.
-    The walk stops at the largest member size below n, since no longer
-    prefix can be a member; ∅ and [n] lie on every chain and are counted
-    once up front.
+
+    A maximal chain meets every level once, so a full level (all C(n, s)
+    sets of size s) adds one hit to every chain; only partial levels vary.
+    The walk stops at the largest partial size, and ∅ and the full levels
+    above it are counted once up front.  With no partial level every chain
+    meets the family that many times and no code is drawn.  The first j
+    digits, j largest with n(n-1)...(n-j+1) <= min(2^14, trials), are read
+    as r mod that product from a table built once per call, which holds the
+    hits, chain set and elements left after them.  Neither shortcut changes
+    the codes drawn or any figure reported.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     n = family.n
     members = family.member_set
-    base = (0 in members) + (family.full_mask in members)
-    top = max((s for s in family.by_size if s < n), default=0)
+    top = max((s for s, masks in family.by_size.items() if len(masks) < binomial(n, s)), default=0)
+    base = (0 in members) + sum(s > top for s in family.by_size)
+    if not top:
+        return ChainSampleReport(trials, float(base), 0.0, lubell(family))
     radices = range(n, n - top, -1)  # one digit per prefix size 1..top
+    j = 0
+    width = 1
+    while j < top and width * radices[j] <= min(1 << 14, trials):
+        width *= radices[j]
+        j += 1
+    table = [(base, 0, [1 << i for i in range(n)])]
+    for k in radices[:j]:
+        grown = []
+        for d in range(k):  # grown[i + d * len(table)]: entry i, then digit d
+            for hits, mask, left in table:
+                mask |= left[d]
+                left = left[:]
+                left[d] = left[k - 1]
+                grown.append((hits + (mask in members), mask, left))
+        table = grown
+    rest = radices[j:]
     n_fact = math.factorial(n)
     code_bits = n_fact.bit_length()
     getrandbits = random.Random(seed).getrandbits
-    elements = [1 << i for i in range(n)]
     total = 0
     total_sq = 0
     for _ in range(trials):
         r = getrandbits(code_bits)
         while r >= n_fact:
             r = getrandbits(code_bits)
-        left = elements[:]
-        hits = base
-        mask = 0
-        for k in radices:
+        r, i = divmod(r, width)
+        hits, mask, left = table[i]
+        left = left[:]
+        for k in rest:
             r, d = divmod(r, k)
             mask |= left[d]
             left[d] = left[k - 1]

@@ -13,7 +13,6 @@ message, as other Unix filters do.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -47,6 +46,8 @@ def _sets(masks) -> list[list[int]]:
 
 def _read_input(path: str) -> tuple[str, dict]:
     """File text plus its run-record digest."""
+    import hashlib  # loads OpenSSL: only commands that read a file pay for it
+
     with open(path, "rb") as fh:
         data = fh.read()
     return data.decode("utf-8"), {"path": path, "sha256": hashlib.sha256(data).hexdigest()}

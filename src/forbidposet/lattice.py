@@ -80,12 +80,11 @@ class Family:
     def __init__(self, n: int, masks=()):
         self.full_mask = full = ground_mask(n)
         self.n = n
-        seen: dict[Mask, None] = {}
-        for m in masks:
-            if m < 0 or m & ~full:
-                raise ValueError(f"mask {m} has bits outside the {n}-element ground set")
-            if m not in seen:
-                seen[m] = None
+        seen = dict.fromkeys(masks)
+        # a mask in [0, full] has no bit outside [n]; only a failure scans
+        if seen and not (0 <= min(seen) and max(seen) <= full):
+            bad = next(m for m in seen if not 0 <= m <= full)
+            raise ValueError(f"mask {bad} has bits outside the {n}-element ground set")
         self.members: tuple[Mask, ...] = tuple(seen)
         self.member_set = frozenset(self.members)
         by_size: dict[int, list[Mask]] = {}

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -30,6 +31,71 @@ from forbidposet.audits import (
 from forbidposet.lattice import powerset_family
 
 from conftest import random_family
+
+
+def reference_estimate(family, trials, seed):
+    """The sampler's per-trial loop as it was before full levels were
+    counted up front and the first digits read from a table: every chain is
+    decoded up to the largest member size below n.  Returns (trials, mean,
+    std_error), which the sampler must reproduce exactly."""
+    n = family.n
+    members = family.member_set
+    base = (0 in members) + (family.full_mask in members)
+    top = max((s for s in family.by_size if s < n), default=0)
+    radices = range(n, n - top, -1)  # one digit per prefix size 1..top
+    n_fact = math.factorial(n)
+    code_bits = n_fact.bit_length()
+    getrandbits = random.Random(seed).getrandbits
+    elements = [1 << i for i in range(n)]
+    total = 0
+    total_sq = 0
+    for _ in range(trials):
+        r = getrandbits(code_bits)
+        while r >= n_fact:
+            r = getrandbits(code_bits)
+        left = elements[:]
+        hits = base
+        mask = 0
+        for k in radices:
+            r, d = divmod(r, k)
+            mask |= left[d]
+            left[d] = left[k - 1]
+            if mask in members:
+                hits += 1
+        total += hits
+        total_sq += hits * hits
+    mean = total / trials
+    if trials > 1:
+        var = max(total_sq - trials * mean * mean, 0.0) / (trials - 1)
+        std_error = math.sqrt(var / trials)
+    else:
+        std_error = 0.0
+    return trials, mean, std_error
+
+
+FULL_LEVEL_CAP = 5000  # no larger level is made full: keeps n = 16 and 64 families small
+
+
+def level_mix_family(rng, n, states):
+    """A family built level by level: each size s, in a state drawn from
+    ``states``, gets no sets, all C(n, s) of them, or a random nonempty
+    proper part of them."""
+    masks = []
+    for s in range(n + 1):
+        size = math.comb(n, s)
+        allowed = [
+            state for state in states
+            if not (state == "full" and size > FULL_LEVEL_CAP or state == "partial" and size == 1)
+        ]
+        state = rng.choice(allowed)
+        if state == "full":
+            masks += (sum(1 << e for e in c) for c in itertools.combinations(range(n), s))
+        elif state == "partial":
+            level = set()
+            for _ in range(rng.randint(1, min(size - 1, 40))):
+                level.add(sum(1 << e for e in rng.sample(range(n), s)))
+            masks += sorted(level)
+    return Family(n, masks)
 
 
 class TestEstimateLubell:
@@ -118,6 +184,53 @@ class TestEstimateLubell:
     def test_trials_validated(self):
         with pytest.raises(ValueError):
             estimate_lubell(Family(2, []), trials=0, seed=0)
+
+    def test_matches_reference_loop(self):
+        # the full-level count and the digit table must leave every figure
+        # of the per-trial reference unchanged, on families mixing empty,
+        # full and partial levels in every order
+        kinds = [("empty", "full", "partial"), ("empty", "full"), ("empty", "partial")]
+        ns = [*range(1, 17), 64]
+        trial_counts = [1, 2, 50, 3000]
+        rng = random.Random(2012)
+        seen = dict.fromkeys(
+            ["no partial", "only partial", "full below", "full between", "full above",
+             "empty in", "empty out", "full set in", "full set out"], 0)
+        for i in range(340):  # every (n, kind, trials) triple occurs
+            n, states, trials = ns[i % 17], kinds[i % 3], trial_counts[i % 4]
+            fam = level_mix_family(rng, n, states)
+            seed = rng.randrange(1 << 31)
+            report = estimate_lubell(fam, trials, seed)
+            assert (report.trials, report.mean, report.std_error) == reference_estimate(
+                fam, trials, seed
+            ), (n, fam.sets(), trials, seed)
+            assert report.exact_target == lubell(fam)
+            partial = [s for s, ms in fam.by_size.items() if len(ms) < math.comb(n, s)]
+            full = [s for s in fam.by_size if s not in partial]
+            seen["no partial"] += not partial
+            seen["only partial"] += bool(partial) and not full
+            if partial:
+                seen["full below"] += any(s < min(partial) for s in full)
+                seen["full between"] += any(min(partial) < s < max(partial) for s in full)
+                seen["full above"] += any(s > max(partial) for s in full)
+            seen["empty in" if 0 in fam else "empty out"] += 1
+            seen["full set in" if fam.full_mask in fam else "full set out"] += 1
+        assert all(seen.values()), seen
+
+    def test_no_partial_level_draws_no_code(self, monkeypatch):
+        # every chain meets these families equally often: base hits, no draw
+        class NoDraws:
+            def __init__(self, seed):
+                pass
+
+            def getrandbits(self, k):
+                raise AssertionError("a code was drawn")
+
+        monkeypatch.setattr(audits, "random", SimpleNamespace(Random=NoDraws))
+        singletons = Family(64, [1 << i for i in range(64)])
+        for fam, base in ((powerset_family(4), 5), (middle_levels(8, 3), 3), (singletons, 1)):
+            report = estimate_lubell(fam, trials=1000, seed=0)
+            assert (report.mean, report.std_error) == (float(base), 0.0)
 
 
 class TestWeightedChainAverage:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -8,8 +9,19 @@ from pathlib import Path
 
 import pytest
 
-from forbidposet import Family, kt_construction, serialize_config, build_named
+from forbidposet import Family, kt_construction, middle_levels, serialize_config, build_named
 from forbidposet.cli import main
+from forbidposet.lattice import mask_of
+
+
+# full levels 4 and 5 of [10] with partial levels below and above them and
+# [10] itself, and a random family at the audit benchmark's n
+LEVELS_AND_STRAYS = Family(10, [
+    *middle_levels(10, 2),
+    *(mask_of(s, 10) for s in ([1, 2], [3, 4, 5], range(1, 8), range(2, 10), range(1, 11))),
+])
+RANDOM12 = Family(12, random.Random(16).sample(range(1 << 12), 300))
+LUBELL_ARGV = ["audit", "lubell", "--family", "family.txt", "--trials", "20000", "--seed", "5"]
 
 
 def run_cli(capsys, *argv):
@@ -89,22 +101,31 @@ class TestConstructCommand:
         assert Family.from_text(out) == Family.from_sets(3, [[1, 2, 3], [3]])
 
     @pytest.mark.parametrize(
-        "argv, digest",
+        "argv, family, digest",
         [
-            (["middle", "--n", "16", "--r", "4"],
+            (["construct", "middle", "--n", "16", "--r", "4"], None,
              "264adf8118b58b29406b57f630784ab4d75de9350a06715e09bf3bd678c97feb"),
-            (["middle", "--n", "10", "--r", "4"],
+            (["construct", "middle", "--n", "10", "--r", "4"], None,
              "c7eeedb7ee8abe172c2b46d4744bee7946506ab605c7408e1633cdd0aea0016d"),
-            (["kt", "--n", "8"],
+            (["construct", "kt", "--n", "8"], None,
              "5299a857f88ccafc4679cb3fa5fd41999d57297b28484a35f3ab7084df03ab0d"),
+            (LUBELL_ARGV, LEVELS_AND_STRAYS,
+             "24ea20dc06880225ef5093edf7aecf7d227b3a8c6dccdff016081889072b6306"),
+            (LUBELL_ARGV, RANDOM12,
+             "9513863dfe06c81c518eb92b69fd3d7841c598a5152221b904ec26d5fca77f12"),
         ],
-        ids=["middle16_4", "middle10_4", "kt8"],
+        ids=["middle16_4", "middle10_4", "kt8", "lubell_levels_and_strays", "lubell_random12"],
     )
-    def test_text_output_is_pinned(self, capsys, argv, digest):
+    def test_text_output_is_pinned(self, capsys, tmp_path, monkeypatch, argv, family, digest):
         # digests of the output of the per-element constructions and writer
-        # that the bit sums and byte tables replaced: order and text are fixed
-        code, out, _ = run_cli(capsys, "construct", *argv)
+        # that the bit sums and byte tables replaced, and of the chain sampler
+        # that decoded every chain: order, text and samples are fixed
+        if family is not None:
+            monkeypatch.chdir(tmp_path)
+            write_family(tmp_path, family)
+        code, out, _ = run_cli(capsys, *argv)
         assert code == 0
+        out = re.sub(r', "wall_time": [^}]*', "", out)
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_missing_required_param(self, capsys):
@@ -513,17 +534,36 @@ class TestReplayAndSchema:
         assert outs[0] == outs[1]
 
 
+def checkout_env() -> dict:
+    """The environment with this checkout's src first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 class TestModuleEntry:
     def test_python_dash_m_from_checkout(self):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "forbidposet", "bound", "kt", "--n", "9"],
-            capture_output=True, text=True, env=env, timeout=60,
+            capture_output=True, text=True, env=checkout_env(), timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["value"] == "140"
+
+    def test_hashlib_is_loaded_only_to_hash_an_input(self):
+        # hashlib loads OpenSSL; a command that reads no file does not need it
+        script = (
+            "import sys\n"
+            "from forbidposet.cli import main\n"
+            "main(['bound', 'kt', '--n', '6'])\n"
+            "print('hashlib' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=checkout_env(), timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
 
     @pytest.mark.parametrize(
         "argv",
@@ -535,12 +575,9 @@ class TestModuleEntry:
         deep = tmp_path / "deep.json"
         deep.write_text('{"n": ' + "[" * 200_000 + "]" * 200_000 + "}")
         paths = {"DEEP": str(deep), "FAMILY": write_family(tmp_path, kt_construction(4))}
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "forbidposet", *(paths.get(a, a) for a in argv)],
-            capture_output=True, text=True, env=env, timeout=60,
+            capture_output=True, text=True, env=checkout_env(), timeout=60,
         )
         assert proc.returncode == 1 and proc.stdout == ""
         assert "Traceback" not in proc.stderr
@@ -549,12 +586,9 @@ class TestModuleEntry:
     def test_closed_stdout_pipe_is_not_an_error(self):
         # middle(16, 4) prints 43,758 lines, more than a pipe buffer holds, so
         # the writer is still printing when the reader goes away
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
         proc = subprocess.Popen(
             [sys.executable, "-m", "forbidposet", "construct", "middle", "--n", "16", "--r", "4"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=checkout_env(),
         )
         assert proc.stdout.readline() == b"n=16\n"
         proc.stdout.close()

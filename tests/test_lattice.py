@@ -219,6 +219,13 @@ class TestFamily:
         with pytest.raises(ValueError):
             Family(2, [0b100])
 
+    @pytest.mark.parametrize("masks, bad", [([1, 16, 2, -1, 3], 16), ([1, -1, 16, -1], -1)])
+    def test_first_out_of_range_mask_is_named(self, masks, bad):
+        # a generator is read once; the message names the first bad mask in
+        # input order, not the extreme one the range test trips on
+        with pytest.raises(ValueError, match=rf"^mask {bad} has bits outside the 3-element"):
+            Family(3, (m for m in masks))
+
     def test_size_index_consistent(self):
         fam = Family.from_sets(4, [[1], [2], [1, 2], [1, 2, 3]])
         assert fam.by_size[1] == (0b0001, 0b0010)
