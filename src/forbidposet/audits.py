@@ -19,7 +19,6 @@ from .detector import is_avoiding
 from .lattice import Family, Mask, binomial, chains_through, lubell, q_value, tail_k
 
 ALPHA_GUARD = 8
-ALPHA_ENUM_GUARD = 6
 S_AUDIT_GUARD = 8
 S_RECURSION_GUARD = 12
 MATCH_SIGMAS = 5  # the CLI reports the match as within_5_sigma
@@ -188,6 +187,12 @@ def compute_S_recursive(r_family: Family, f: Mask) -> Fraction:
     S(f) = N/(n-|f|) * C(n, |f|+1) + (1/(n-|f|)) * sum of S over the covers,
     N counting the covers that belong to the family.  Kept separate from the
     direct form so their exact agreement tests the bookkeeping."""
+    return _S_recursion(r_family)(f)
+
+
+def _S_recursion(r_family: Family):
+    """compute_S_recursive's evaluator for one family: f -> S(f), with one
+    memo shared by every f it is asked for."""
     n = r_family.n
     if n > S_RECURSION_GUARD:
         raise ValueError(f"recursive S evaluation is limited to n <= {S_RECURSION_GUARD}")
@@ -216,7 +221,7 @@ def compute_S_recursive(r_family: Family, f: Mask) -> Fraction:
         memo[mask] = value
         return value
 
-    return rec(f)
+    return rec
 
 
 @dataclass(frozen=True)
@@ -255,10 +260,11 @@ def audit_S_lemma(r_family: Family) -> SLemmaReport:
         raise ValueError("hypothesis failed: nested pair with an equal-size third set present")
     m = n // 2
     full = r_family.full_mask
+    recursive = _S_recursion(r_family)
     entries = []
     for f in range(full):
         direct = compute_S(r_family, f)
-        agree = direct == compute_S_recursive(r_family, f)
+        agree = direct == recursive(f)
         size = f.bit_count()
         bound_parts = []
         if size >= m - 1:
@@ -386,37 +392,6 @@ def alpha_audit(family: Family) -> AlphaReport:
         f for f in family.members if f.bit_count() != m - 1 and counts[f] < threshold
     )
     return AlphaReport(m, threshold, counts, exceptions, unexpected, unassigned)
-
-
-def alpha_counts_by_enumeration(family: Family) -> tuple[dict[Mask, int], int]:
-    """Cross-check for alpha_audit: walk all n! chains, hand each one to its
-    closest-size owner directly.  Returns (counts, unassigned)."""
-    import itertools
-
-    n = family.n
-    if n > ALPHA_ENUM_GUARD:
-        raise ValueError(f"enumeration cross-check is limited to n <= {ALPHA_ENUM_GUARD}")
-    m = n // 2
-    members = family.member_set
-    counts = {f: 0 for f in family.members}
-    unassigned = 0
-    for perm in itertools.permutations(range(n)):
-        best = None
-        best_key = None
-        mask = 0
-        if 0 in members:
-            best, best_key = 0, _size_distance_key(0, m)
-        for e in perm:
-            mask |= 1 << e
-            if mask in members:
-                key = _size_distance_key(mask.bit_count(), m)
-                if best_key is None or key < best_key:
-                    best, best_key = mask, key
-        if best is None:
-            unassigned += 1
-        else:
-            counts[best] += 1
-    return counts, unassigned
 
 
 def estimate_matches_exact(report: ChainSampleReport) -> bool:

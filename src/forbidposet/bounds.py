@@ -196,43 +196,33 @@ def constant_for_colored_poset(poset: ColoredPoset) -> Fraction:
     return general_constant(poset.color_class_sizes())
 
 
-def _order_preserving_colorings(rows, p: int):
-    """All order-preserving surjective colorings of a p-element strict poset,
-    as tuples normalized to colors 1..k."""
-    colorings = []
-    colors = [0] * p
+def _color_class_sizes(rows, p: int):
+    """Color class sizes (a_1, ..., a_k) of every order-preserving surjective
+    coloring of a p-element strict poset, one tuple per coloring: color c
+    takes a nonempty set of the uncolored elements whose predecessors are
+    all colored already, i.e. have colors below c."""
+    below = [sum(1 << a for a in range(p) if rows[a] >> e & 1) for e in range(p)]
+    full = (1 << p) - 1
 
-    def go(e: int) -> None:
-        if e == p:
-            used = sorted(set(colors))
-            remap = {c: i + 1 for i, c in enumerate(used)}
-            colorings.append(tuple(remap[c] for c in colors))
+    def extend(done: int, sizes: tuple[int, ...]):
+        if done == full:
+            yield sizes
             return
-        for c in range(1, p + 1):
-            if all(
-                (colors[f] < c if rows[f] >> e & 1 else True)
-                and (c < colors[f] if rows[e] >> f & 1 else True)
-                for f in range(e)
-            ):
-                colors[e] = c
-                go(e + 1)
-        colors[e] = 0
+        free = sum(1 << e for e in range(p) if not done >> e & 1 and not below[e] & ~done)
+        part = free
+        while part:
+            yield from extend(done | part, sizes + (part.bit_count(),))
+            part = (part - 1) & free
 
-    go(0)
-    return sorted(set(colorings))
+    return extend(0, ())
 
 
 def constant_for_poset_any_coloring(poset: ColoredPoset) -> Fraction:
     """Max of the general constant over every order-preserving coloring of
-    the underlying poset, so the bound is coloring-independent.  Enumeration
-    is guarded at 8 elements."""
+    the underlying poset, so the bound is coloring-independent.  Each
+    coloring is visited once, as its tuple of color class sizes; the
+    enumeration is guarded at 8 elements."""
     require_valid(poset)
     if poset.p > 8:
         raise ValueError("coloring enumeration is limited to posets with <= 8 elements")
-    best = Fraction(0)
-    for coloring in _order_preserving_colorings(poset.rows, poset.p):
-        sizes: dict[int, int] = {}
-        for c in coloring:
-            sizes[c] = sizes.get(c, 0) + 1
-        best = max(best, general_constant(sizes[c] for c in sorted(sizes)))
-    return best
+    return max(map(general_constant, _color_class_sizes(poset.rows, poset.p)))

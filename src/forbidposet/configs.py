@@ -227,9 +227,6 @@ class ConfigSet:
     def __len__(self) -> int:
         return len(self.configs)
 
-    def max_elements(self) -> int:
-        return max(c.p for c in self.configs)
-
     def dual(self) -> "ConfigSet":
         return ConfigSet(tuple(c.dual() for c in self.configs))
 

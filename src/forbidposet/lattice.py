@@ -263,18 +263,6 @@ def q_values_upto(kmax: int) -> dict[int, Fraction]:
     return out
 
 
-def q_value_direct(k: int) -> Fraction:
-    """Definitional term-by-term evaluation of q(k); oracle for q_value."""
-    if k < 2:
-        raise ValueError(f"q(k) requires k >= 2, got {k}")
-    total = Fraction(0)
-    c = k  # C(k, 1)
-    for i in range(1, k):
-        total += Fraction(1, c)
-        c = c * (k - i) // (i + 1)
-    return total
-
-
 def lubell(family: Family) -> Fraction:
     """Lubell function: sum of 1/C(n, |F|) over the family.  Equals the
     expected number of family members on a uniformly random maximal chain."""
@@ -332,10 +320,3 @@ def tail_ratio(n: int) -> Fraction:
     if top < 0:
         return Fraction(0)
     return Fraction(2 * sum(binomial(n, i) for i in range(top + 1)), binomial(n, n // 2))
-
-
-def powerset_family(n: int) -> Family:
-    """All 2^n subsets of [n] (n capped at 20 to keep this a desk-scale helper)."""
-    if n > 20:
-        raise ValueError("powerset_family is limited to n <= 20")
-    return Family(n, range(1 << n))

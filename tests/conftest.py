@@ -1,16 +1,21 @@
-"""Shared oracles and fixtures: the brute-force embedding check (independent
-of the detector's backtracking), the roster of named configurations and a
-strategy for random colored posets."""
+"""Shared oracles and fixtures: reference implementations that share no code
+with what they check (the brute-force embedding check, the definitional q(k)
+sum, the chain-by-chain closest-size ownership and the p^p coloring walk),
+the roster of named configurations and a strategy for random colored
+posets."""
 
 from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import strategies as st
 
 from forbidposet import ColoredPoset, ConfigSet, Family, build_named
+
+ALPHA_ENUM_GUARD = 6
 
 
 def named_roster() -> list[tuple[str, ConfigSet]]:
@@ -82,6 +87,74 @@ def brute_count_embeddings(family: Family, poset: ColoredPoset, mode: str = "sta
 
 def brute_avoiding(family: Family, configs: ConfigSet, mode: str = "standard") -> bool:
     return all(not brute_embedding_exists(family, poset, mode) for poset in configs)
+
+
+def powerset_family(n: int) -> Family:
+    """All 2^n subsets of [n] (n capped at 20 to keep this a desk-scale helper)."""
+    if n > 20:
+        raise ValueError("powerset_family is limited to n <= 20")
+    return Family(n, range(1 << n))
+
+
+def q_value_direct(k: int) -> Fraction:
+    """Definitional term-by-term evaluation of q(k); oracle for q_value."""
+    if k < 2:
+        raise ValueError(f"q(k) requires k >= 2, got {k}")
+    total = Fraction(0)
+    c = k  # C(k, 1)
+    for i in range(1, k):
+        total += Fraction(1, c)
+        c = c * (k - i) // (i + 1)
+    return total
+
+
+def alpha_counts_by_enumeration(family: Family) -> tuple[dict[int, int], int]:
+    """Oracle for alpha_audit: walk all n! chains and hand each one to its
+    member whose size is nearest m + 1/3.  Returns (counts, unassigned)."""
+    n = family.n
+    if n > ALPHA_ENUM_GUARD:
+        raise ValueError(f"enumeration cross-check is limited to n <= {ALPHA_ENUM_GUARD}")
+    target = n // 2 + Fraction(1, 3)
+    members = family.member_set
+    counts = {f: 0 for f in family.members}
+    unassigned = 0
+    for perm in itertools.permutations(range(n)):
+        chain = [0]
+        for e in perm:
+            chain.append(chain[-1] | 1 << e)
+        on_chain = [x for x in chain if x in members]
+        if on_chain:
+            counts[min(on_chain, key=lambda x: abs(x.bit_count() - target))] += 1
+        else:
+            unassigned += 1
+    return counts, unassigned
+
+
+def order_preserving_colorings(rows, p: int):
+    """All order-preserving surjective colorings of a p-element strict poset,
+    as tuples normalized to colors 1..k: every map to 1..p, remapped and
+    deduplicated."""
+    colorings = []
+    colors = [0] * p
+
+    def go(e: int) -> None:
+        if e == p:
+            used = sorted(set(colors))
+            remap = {c: i + 1 for i, c in enumerate(used)}
+            colorings.append(tuple(remap[c] for c in colors))
+            return
+        for c in range(1, p + 1):
+            if all(
+                (colors[f] < c if rows[f] >> e & 1 else True)
+                and (c < colors[f] if rows[e] >> f & 1 else True)
+                for f in range(e)
+            ):
+                colors[e] = c
+                go(e + 1)
+        colors[e] = 0
+
+    go(0)
+    return sorted(set(colorings))
 
 
 def random_family(rng: random.Random, n: int, max_size: int | None = None) -> Family:

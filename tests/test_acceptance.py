@@ -216,7 +216,7 @@ def test_criterion_6_s_lemma_audit():
 
 
 def test_criterion_7_detector_oracle_equivalence():
-    roster = [(label, cfg) for label, cfg in named_roster() if cfg.max_elements() <= 6]
+    roster = [(label, cfg) for label, cfg in named_roster() if max(c.p for c in cfg) <= 6]
     families = [
         Family(3, [m for m in range(8) if bits >> m & 1]) for bits in range(1 << 8)
     ]

@@ -1,5 +1,52 @@
+import ast
+from pathlib import Path
+
 import forbidposet
+
+PACKAGE = Path(forbidposet.__file__).parent
 
 
 def test_every_exported_name_resolves():
     assert [name for name in forbidposet.__all__ if not hasattr(forbidposet, name)] == []
+
+
+def _definitions(tree: ast.Module):
+    """(name, node) for each module-level function, class and assigned name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for leaf in ast.walk(target):
+                    if isinstance(leaf, ast.Name):
+                        yield leaf.id, node
+
+
+def _references(tree: ast.AST, skip: ast.AST):
+    """Names read and attributes taken anywhere in tree outside skip."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_no_test_only_code_in_package():
+    # a module-level name that nothing in the package reads and that is not
+    # exported serves only the tests, and its reference copy belongs there
+    trees = {path.stem: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
+    unused = sorted(
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name, node in _definitions(tree)
+        if not name.startswith("__")
+        and name not in forbidposet.__all__
+        and not any(name in _references(other, node) for other in trees.values())
+    )
+    assert unused == []

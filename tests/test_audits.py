@@ -23,14 +23,11 @@ from forbidposet import (
 )
 from forbidposet import audits
 from forbidposet.audits import (
-    alpha_counts_by_enumeration,
     chains_avoiding_family,
     estimate_matches_exact,
     s_hypothesis_holds,
 )
-from forbidposet.lattice import powerset_family
-
-from conftest import random_family
+from conftest import alpha_counts_by_enumeration, powerset_family, random_family
 
 
 def reference_estimate(family, trials, seed):
@@ -166,13 +163,19 @@ class TestEstimateLubell:
             assert (report.mean, report.std_error) == (float(len(masks)), 0.0)
 
     def test_sixty_four_element_ground_set(self):
-        # 296-bit codes; the singletons' walk stops after one digit
+        # {∅, [64]} and the singletons have no partial level, so no code is
+        # drawn for them; {∅, {1}, {1,2}} draws 296-bit codes (64! has 296
+        # bits) and decodes two digits of each
         full = (1 << 64) - 1
         report = estimate_lubell(Family(64, [0, full]), trials=200, seed=5)
         assert (report.mean, report.std_error) == (2.0, 0.0)
         singletons = Family(64, [1 << i for i in range(64)])
         report = estimate_lubell(singletons, trials=200, seed=5)
         assert (report.mean, report.std_error, report.exact_target) == (1.0, 0.0, 1)
+        nested = Family.from_sets(64, [[], [1], [1, 2]])
+        report = estimate_lubell(nested, trials=2000, seed=5)
+        assert report.exact_target == lubell(nested) == 1 + Fraction(1, 64) + Fraction(1, 2016)
+        assert report.std_error > 0 and estimate_matches_exact(report), report
 
     def test_statistical_agreement(self):
         rng = random.Random(77)
@@ -332,6 +335,21 @@ class TestSLemmaAudit:
     def test_odd_n_rejected(self):
         with pytest.raises(ValueError, match="even"):
             audit_S_lemma(Family(5, []))
+
+    def test_recursion_shares_one_memo(self, monkeypatch):
+        # one recursion per family evaluates each of the 247 sets of size
+        # <= 6 once for all 255 F; a fresh memo per F made 7,739 calls
+        calls = 0
+        real = audits.binomial
+
+        def counting(n, k):
+            nonlocal calls
+            calls += 1
+            return real(n, k)
+
+        monkeypatch.setattr(audits, "binomial", counting)
+        assert audit_S_lemma(kt_construction(8)).passed
+        assert calls == 2705
 
     def test_random_hypothesis_satisfying_families_pass(self):
         rng = random.Random(99)

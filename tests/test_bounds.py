@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,9 @@ from forbidposet import (
     middle_levels,
     sigma,
 )
-from forbidposet.bounds import EXACT, MAIN_TERM_ONLY, bound_params, cprime
+from forbidposet.bounds import EXACT, MAIN_TERM_ONLY, _color_class_sizes, bound_params, cprime
+
+from conftest import order_preserving_colorings
 
 IN_RANGE = {"n": 14, "m": 4, "s": 3, "t": 2, "h": 3}
 OUT_OF_RANGE = {"n": 4, "m": 1, "s": 1, "t": 1, "h": 3}
@@ -211,3 +214,37 @@ class TestGeneralConstant:
         (big,) = build_named("diamond", 7).configs  # 9 elements
         with pytest.raises(ValueError):
             constant_for_poset_any_coloring(big)
+
+
+def random_valid_poset(rng: random.Random, max_p: int = 6) -> ColoredPoset:
+    """A random poset whose elements are labelled in random order, each
+    colored by its position in a linear extension so that it is valid."""
+    p = rng.randint(1, max_p)
+    order = rng.sample(range(p), p)
+    density = rng.random()
+    pairs = [
+        (order[i], order[j]) for i in range(p) for j in range(i + 1, p) if rng.random() < density
+    ]
+    colors = [0] * p
+    for position, e in enumerate(order):
+        colors[e] = position + 1
+    return ColoredPoset.build(p, pairs, colors)
+
+
+class TestColorClassSizes:
+    def test_matches_reference_walk_on_random_posets(self):
+        rng = random.Random(2017)
+        for _ in range(300):
+            poset = random_valid_poset(rng)
+            expected = sorted(
+                tuple(coloring.count(c) for c in range(1, max(coloring) + 1))
+                for coloring in order_preserving_colorings(poset.rows, poset.p)
+            )
+            assert sorted(_color_class_sizes(poset.rows, poset.p)) == expected, poset
+            assert constant_for_poset_any_coloring(poset) == max(map(general_constant, expected))
+
+    def test_antichains_give_fubini_numbers(self):
+        # colorings of p unrelated elements are the ordered set partitions,
+        # so any coloring visited twice overshoots the Fubini number
+        for p, fubini in zip(range(1, 7), (1, 3, 13, 75, 541, 4683)):
+            assert sum(1 for _ in _color_class_sizes((0,) * p, p)) == fubini

@@ -19,14 +19,12 @@ from forbidposet.lattice import (
     elems_of,
     ground_mask,
     mask_of,
-    powerset_family,
-    q_value_direct,
     q_values_upto,
     set_text,
     tail_k,
 )
 
-from conftest import random_family
+from conftest import powerset_family, q_value_direct, random_family
 
 
 class TestBinomial:
