@@ -53,11 +53,20 @@ def estimate_lubell(family: Family, trials: int, seed: int) -> ChainSampleReport
     sets of size s) adds one hit to every chain; only partial levels vary.
     The walk stops at the largest partial size, and ∅ and the full levels
     above it are counted once up front.  With no partial level every chain
-    meets the family that many times and no code is drawn.  The first j
-    digits, j largest with n(n-1)...(n-j+1) <= min(2^14, trials), are read
-    as r mod that product from a table built once per call, which holds the
-    hits, chain set and elements left after them.  Neither shortcut changes
-    the codes drawn or any figure reported.
+    meets the family that many times and no code is drawn.
+
+    Two tables, built once per call within the budget min(2^14, trials),
+    replace most of the walk.  The head, the first j digits with j largest
+    such that n(n-1)...(n-j+1) <= budget, is read as r mod that product from
+    a table holding the hits, chain set and elements left after them.  The
+    end, the longest run of the remaining radices whose product w2 is within
+    the budget, is read as the quotient mod w2 from a table of slot
+    patterns.  Which slots a run of digits picks under the swap-with-last
+    rule depends only on the digits, never on what the slots hold, so entry
+    q lists the slots that the digits of q pick, and ORing in the elements
+    in those slots of the trial's own list, in order, is the walk itself.
+    Only the digits between the two tables are walked.  None of these
+    shortcuts changes the codes drawn or any figure reported.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -68,9 +77,10 @@ def estimate_lubell(family: Family, trials: int, seed: int) -> ChainSampleReport
     if not top:
         return ChainSampleReport(trials, float(base), 0.0, lubell(family))
     radices = range(n, n - top, -1)  # one digit per prefix size 1..top
+    budget = min(1 << 14, trials)
     j = 0
     width = 1
-    while j < top and width * radices[j] <= min(1 << 14, trials):
+    while j < top and width * radices[j] <= budget:
         width *= radices[j]
         j += 1
     table = [(base, 0, [1 << i for i in range(n)])]
@@ -83,7 +93,17 @@ def estimate_lubell(family: Family, trials: int, seed: int) -> ChainSampleReport
                 left[d] = left[k - 1]
                 grown.append((hits + (mask in members), mask, left))
         table = grown
-    rest = radices[j:]
+    tail = top
+    w2 = 1
+    while tail > j and w2 * radices[tail - 1] <= budget:
+        tail -= 1
+        w2 *= radices[tail]
+    walked = [(k, k - 1) for k in radices[j:tail]]
+    patterns = [b""]
+    for k in reversed(radices[tail:]):  # patterns[d + k * i]: digit d, then entry i
+        # after digit d, the slot d holds what slot k - 1 held
+        moved = [bytes.maketrans(bytes([d]), bytes([k - 1])) for d in range(k)]
+        patterns = [bytes([d]) + rest.translate(moved[d]) for rest in patterns for d in range(k)]
     n_fact = math.factorial(n)
     code_bits = n_fact.bit_length()
     getrandbits = random.Random(seed).getrandbits
@@ -93,13 +113,19 @@ def estimate_lubell(family: Family, trials: int, seed: int) -> ChainSampleReport
         r = getrandbits(code_bits)
         while r >= n_fact:
             r = getrandbits(code_bits)
-        r, i = divmod(r, width)
-        hits, mask, left = table[i]
-        left = left[:]
-        for k in rest:
-            r, d = divmod(r, k)
-            mask |= left[d]
-            left[d] = left[k - 1]
+        hits, mask, left = table[r % width]
+        r //= width
+        if walked:
+            left = left[:]
+            for k, last in walked:
+                d = r % k
+                r //= k
+                mask |= left[d]
+                left[d] = left[last]
+                if mask in members:
+                    hits += 1
+        for s in patterns[r % w2]:
+            mask |= left[s]
             if mask in members:
                 hits += 1
         total += hits

@@ -220,9 +220,10 @@ def _color_class_sizes(rows, p: int):
 def constant_for_poset_any_coloring(poset: ColoredPoset) -> Fraction:
     """Max of the general constant over every order-preserving coloring of
     the underlying poset, so the bound is coloring-independent.  Each
-    coloring is visited once, as its tuple of color class sizes; the
-    enumeration is guarded at 8 elements."""
+    coloring is visited once, as its tuple of color class sizes, and each
+    distinct tuple is evaluated once; the enumeration is guarded at 8
+    elements."""
     require_valid(poset)
     if poset.p > 8:
         raise ValueError("coloring enumeration is limited to posets with <= 8 elements")
-    return max(map(general_constant, _color_class_sizes(poset.rows, poset.p)))
+    return max(map(general_constant, set(_color_class_sizes(poset.rows, poset.p))))

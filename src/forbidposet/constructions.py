@@ -7,6 +7,15 @@ from itertools import combinations
 
 from .lattice import Family, binomial, ground_mask
 
+CONSTRUCTION_GUARD = 1 << 20  # most sets a construction lists
+
+
+def _check_size(name: str, size: int) -> None:
+    """Refuse a construction of more than CONSTRUCTION_GUARD sets before any
+    of them is enumerated."""
+    if size > CONSTRUCTION_GUARD:
+        raise ValueError(f"{name} has {size} sets; constructions are limited to {CONSTRUCTION_GUARD}")
+
 
 def middle_levels(n: int, r: int) -> Family:
     """All subsets with cardinality i for ceil((n-r)/2) <= i <= ceil((n+r)/2)-1;
@@ -16,6 +25,7 @@ def middle_levels(n: int, r: int) -> Family:
     ground_mask(n)  # first: past its guard the enumeration below would never finish
     lo = (n - r + 1) // 2
     hi = (n + r + 1) // 2 - 1
+    _check_size(f"middle_levels({n}, {r})", sum(binomial(n, s) for s in range(lo, hi + 1)))
     bits = [1 << i for i in range(n)]
     masks = []
     for size in range(lo, hi + 1):
@@ -33,6 +43,7 @@ def kt_construction(n: int) -> Family:
         raise ValueError(f"kt_construction requires n >= 2, got {n}")
     ground_mask(n)  # first: past its guard the enumeration below would never finish
     low, high = n // 2, (n + 1) // 2
+    _check_size(f"kt_construction({n})", binomial(n - 1, low) + binomial(n - 1, high - 1))
     bits = [1 << i for i in range(1, n)]  # elements 2..n
     masks = list(map(sum, combinations(bits, low)))
     masks += [sum(combo, 1) for combo in combinations(bits, high - 1)]

@@ -70,6 +70,23 @@ def reference_estimate(family, trials, seed):
     return trials, mean, std_error
 
 
+def code_split(n, top, trials):
+    """(head, walked, end): how many of a code's top digits the sampler reads
+    from its prefix table, walks, and reads from its slot table.  The head
+    is the longest prefix of the radices n, n-1, ..., n-top+1 whose product
+    is at most min(2^14, trials); the end is the longest suffix of the rest
+    within the same budget."""
+    budget = min(1 << 14, trials)
+    radices = list(range(n, n - top, -1))
+    head = 0
+    while head < top and math.prod(radices[:head + 1]) <= budget:
+        head += 1
+    end = 0
+    while head + end < top and math.prod(radices[top - end - 1:]) <= budget:
+        end += 1
+    return head, top - head - end, end
+
+
 FULL_LEVEL_CAP = 5000  # no larger level is made full: keeps n = 16 and 64 families small
 
 
@@ -189,20 +206,29 @@ class TestEstimateLubell:
             estimate_lubell(Family(2, []), trials=0, seed=0)
 
     def test_matches_reference_loop(self):
-        # the full-level count and the digit table must leave every figure
-        # of the per-trial reference unchanged, on families mixing empty,
-        # full and partial levels in every order
+        # the full-level count and the two digit tables must leave every
+        # figure of the per-trial reference unchanged, on families mixing
+        # empty, full and partial levels in every order, and under every
+        # split of a code into head, walked digits and slot-table end
         kinds = [("empty", "full", "partial"), ("empty", "full"), ("empty", "partial")]
         ns = [*range(1, 17), 64]
         trial_counts = [1, 2, 50, 3000]
         rng = random.Random(2012)
-        seen = dict.fromkeys(
-            ["no partial", "only partial", "full below", "full between", "full above",
-             "empty in", "empty out", "full set in", "full set out"], 0)
+        cases = []
         for i in range(340):  # every (n, kind, trials) triple occurs
             n, states, trials = ns[i % 17], kinds[i % 3], trial_counts[i % 4]
-            fam = level_mix_family(rng, n, states)
-            seed = rng.randrange(1 << 31)
+            cases.append((level_mix_family(rng, n, states), trials, rng.randrange(1 << 31)))
+        # the audit benchmark's family shape at a full 2^14 budget: four
+        # head digits, one walked digit and five or six from the slot table
+        for _ in range(2):
+            cases.append((Family(12, rng.sample(range(1 << 12), 300)), 20000, rng.randrange(1 << 31)))
+        seen = dict.fromkeys(
+            ["no partial", "only partial", "full below", "full between", "full above",
+             "empty in", "empty out", "full set in", "full set out",
+             "no digit past the head", "slot table after the head", "walked between",
+             "budget below 2^14", "budget 2^14", "296-bit codes"], 0)
+        for fam, trials, seed in cases:
+            n = fam.n
             report = estimate_lubell(fam, trials, seed)
             assert (report.trials, report.mean, report.std_error) == reference_estimate(
                 fam, trials, seed
@@ -216,6 +242,12 @@ class TestEstimateLubell:
                 seen["full below"] += any(s < min(partial) for s in full)
                 seen["full between"] += any(min(partial) < s < max(partial) for s in full)
                 seen["full above"] += any(s > max(partial) for s in full)
+                head, walked, end = code_split(n, max(partial), trials)
+                seen["no digit past the head"] += head == max(partial)
+                seen["slot table after the head"] += end > 0 and not walked
+                seen["walked between"] += walked > 0
+                seen["budget below 2^14" if trials < 1 << 14 else "budget 2^14"] += head > 0 < end
+                seen["296-bit codes"] += n == 64
             seen["empty in" if 0 in fam else "empty out"] += 1
             seen["full set in" if fam.full_mask in fam else "full set out"] += 1
         assert all(seen.values()), seen

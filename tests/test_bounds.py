@@ -15,6 +15,7 @@ from forbidposet import (
     middle_levels,
     sigma,
 )
+from forbidposet import bounds
 from forbidposet.bounds import EXACT, MAIN_TERM_ONLY, _color_class_sizes, bound_params, cprime
 
 from conftest import order_preserving_colorings
@@ -242,6 +243,20 @@ class TestColorClassSizes:
             )
             assert sorted(_color_class_sizes(poset.rows, poset.p)) == expected, poset
             assert constant_for_poset_any_coloring(poset) == max(map(general_constant, expected))
+
+    def test_any_coloring_evaluates_each_size_tuple_once(self, monkeypatch):
+        # the 4,683 colorings of a 6-element antichain have only 2^5 = 32
+        # distinct class-size tuples (the compositions of 6)
+        calls = []
+
+        def counted(a):
+            calls.append(a)
+            return general_constant(a)
+
+        monkeypatch.setattr(bounds, "general_constant", counted)
+        antichain = ColoredPoset.build(6, [], [1] * 6)
+        assert constant_for_poset_any_coloring(antichain) == 12  # six classes of one
+        assert len(calls) <= 32
 
     def test_antichains_give_fubini_numbers(self):
         # colorings of p unrelated elements are the ordered set partitions,

@@ -5,12 +5,14 @@ import random
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from forbidposet import Family, kt_construction, middle_levels, serialize_config, build_named
 from forbidposet.cli import main
+from forbidposet.constructions import CONSTRUCTION_GUARD
 from forbidposet.lattice import mask_of
 
 
@@ -22,6 +24,9 @@ LEVELS_AND_STRAYS = Family(10, [
 ])
 RANDOM12 = Family(12, random.Random(16).sample(range(1 << 12), 300))
 LUBELL_ARGV = ["audit", "lubell", "--family", "family.txt", "--trials", "20000", "--seed", "5"]
+# the audit benchmark's first family at its seed 1, with its trial count
+BENCH_RANDOM12 = Family(12, random.Random(1).sample(range(1 << 12), 300))
+BENCH_LUBELL_ARGV = ["audit", "lubell", "--family", "family.txt", "--trials", "100000", "--seed", "41"]
 
 
 def run_cli(capsys, *argv):
@@ -113,8 +118,11 @@ class TestConstructCommand:
              "24ea20dc06880225ef5093edf7aecf7d227b3a8c6dccdff016081889072b6306"),
             (LUBELL_ARGV, RANDOM12,
              "9513863dfe06c81c518eb92b69fd3d7841c598a5152221b904ec26d5fca77f12"),
+            (BENCH_LUBELL_ARGV, BENCH_RANDOM12,
+             "6c475324858312d96013576fdcf79ac92b6730a9d60e796f5ceda20f9f08c1ef"),
         ],
-        ids=["middle16_4", "middle10_4", "kt8", "lubell_levels_and_strays", "lubell_random12"],
+        ids=["middle16_4", "middle10_4", "kt8", "lubell_levels_and_strays", "lubell_random12",
+             "lubell_bench_random12"],
     )
     def test_text_output_is_pinned(self, capsys, tmp_path, monkeypatch, argv, family, digest):
         # digests of the output of the per-element constructions and writer
@@ -147,6 +155,24 @@ class TestConstructCommand:
         code, out, err = run_cli(capsys, "construct", *argv)
         assert (code, out) == (1, "")
         assert err == f"error: ground set size must be in [1, 64], got {argv[2]}\n"
+
+    @pytest.mark.parametrize(
+        "argv, sets",
+        (
+            (["kt", "--n", "40"], "kt_construction(40) has 137846528820 sets"),
+            (["middle", "--n", "40", "--r", "1"], "middle_levels(40, 1) has 137846528820 sets"),
+            (["diamond", "--n", "40", "--m", "2"], "middle_levels(40, 1) has 137846528820 sets"),
+        ),
+        ids=("kt", "middle", "diamond"),
+    )
+    def test_size_guard_before_enumeration(self, capsys, argv, sets):
+        # inside the ground guard, a family of about C(40, 20) sets is
+        # refused from its binomial count before any set is listed
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "construct", *argv)
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (1, "")
+        assert err == f"error: {sets}; constructions are limited to {CONSTRUCTION_GUARD}\n"
 
 
 class TestCheckCommand:
