@@ -313,93 +313,108 @@ def _lubell_text(obj) -> list[str]:
     return [f"lubell = {obj['value']}  (n={obj['n']}, size={obj['size']})"]
 
 
-# command -> (handler, text renderer); a handler takes (args, parser) and
-# returns (output object, input digests, seed)
-_COMMANDS = {
-    "bound": (_cmd_bound, _bound_text),
-    "construct": (_cmd_construct, _construct_text),
-    "check": (_cmd_check, _check_text),
-    "search": (_cmd_search, _search_text),
-    "audit": (_cmd_audit, _audit_text),
-    "lubell": (_cmd_lubell, _lubell_text),
-}
-
-
 # -- parser ------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _format_arg(p, default="structured"):
+    p.add_argument(
+        "--format", choices=("structured", "text"), default=default,
+        help="structured JSON (default) or human-readable text",
+    )
+
+
+def _bound_parser(p):
+    p.add_argument("id", help="bound id, e.g. kt, butterfly, diamond_restricted")
+    for key in ("n", "m", "s", "t", "h"):
+        p.add_argument(f"--{key}", type=int)
+    _format_arg(p)
+
+
+def _construct_parser(p):
+    p.add_argument("name", choices=("kt", "middle", "diamond", "complement"))
+    p.add_argument("--n", type=int)
+    p.add_argument("--r", type=int, help="band width for 'middle'")
+    p.add_argument("--m", type=int, help="middle count for 'diamond'")
+    p.add_argument("--family", help="input family file for 'complement'")
+    _format_arg(p, default="text")  # the family text format is the native output
+
+
+def _check_parser(p):
+    p.add_argument("--family", required=True)
+    p.add_argument("--config", required=True, help="named id or config file")
+    p.add_argument("--induced", action="store_true")
+    _format_arg(p)
+
+
+def _search_parser(p):
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--config", required=True, help="named id or config file")
+    p.add_argument("--induced", action="store_true")
+    p.add_argument("--time-limit", type=float, default=None)
+    p.add_argument("--symmetry", choices=("on", "off"), default="on")
+    p.add_argument("--theorem-bound", default=None, help="exact bound id for early stop")
+    p.add_argument("--exclude-empty-and-full", action="store_true")
+    p.add_argument("--allow-slow", action="store_true")
+    for key in ("m", "s", "t", "h"):
+        p.add_argument(f"--{key}", type=int, help="parameter for --theorem-bound")
+    _format_arg(p)
+
+
+def _audit_parser(p):
+    p.add_argument("kind", choices=("lubell", "weighted", "fork", "slemma", "alpha"))
+    p.add_argument("--family", required=True)
+    p.add_argument("--trials", type=int, default=100000)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--s", type=int, help="fork width for 'fork'")
+    _format_arg(p)
+
+
+def _lubell_parser(p):
+    p.add_argument("--family", required=True)
+    _format_arg(p)
+
+
+# command -> (help line, arguments, handler, text renderer); a handler takes
+# (args, parser) and returns (output object, input digests, seed)
+_COMMANDS = {
+    "bound": ("evaluate a closed-form bound", _bound_parser, _cmd_bound, _bound_text),
+    "construct": ("emit an extremal construction", _construct_parser, _cmd_construct, _construct_text),
+    "check": ("test a family against a configuration", _check_parser, _cmd_check, _check_text),
+    "search": ("exact maximum avoiding family", _search_parser, _cmd_search, _search_text),
+    "audit": ("chain-counting audits", _audit_parser, _cmd_audit, _audit_text),
+    "lubell": ("exact Lubell function of a family", _lubell_parser, _cmd_lubell, _lubell_text),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser.  Given the invoked ``command``, only its subparser
+    gets arguments: the others keep their name and help line, all that the
+    top-level help and errors print, and parsing never enters them."""
     parser = argparse.ArgumentParser(
         prog="forbidposet",
         description="Forbidden colored-poset patterns in the Boolean lattice.",
     )
     parser.add_argument("--version", action="version", version=f"forbidposet {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_format(p):
-        p.add_argument(
-            "--format", choices=("structured", "text"), default="structured",
-            help="structured JSON (default) or human-readable text",
-        )
-
-    p_bound = sub.add_parser("bound", help="evaluate a closed-form bound")
-    p_bound.add_argument("id", help="bound id, e.g. kt, butterfly, diamond_restricted")
-    for key in ("n", "m", "s", "t", "h"):
-        p_bound.add_argument(f"--{key}", type=int)
-    add_format(p_bound)
-
-    p_con = sub.add_parser("construct", help="emit an extremal construction")
-    p_con.add_argument("name", choices=("kt", "middle", "diamond", "complement"))
-    p_con.add_argument("--n", type=int)
-    p_con.add_argument("--r", type=int, help="band width for 'middle'")
-    p_con.add_argument("--m", type=int, help="middle count for 'diamond'")
-    p_con.add_argument("--family", help="input family file for 'complement'")
-    add_format(p_con)
-    p_con.set_defaults(format="text")  # the family text format is the native output
-
-    p_check = sub.add_parser("check", help="test a family against a configuration")
-    p_check.add_argument("--family", required=True)
-    p_check.add_argument("--config", required=True, help="named id or config file")
-    p_check.add_argument("--induced", action="store_true")
-    add_format(p_check)
-
-    p_search = sub.add_parser("search", help="exact maximum avoiding family")
-    p_search.add_argument("--n", type=int, required=True)
-    p_search.add_argument("--config", required=True, help="named id or config file")
-    p_search.add_argument("--induced", action="store_true")
-    p_search.add_argument("--time-limit", type=float, default=None)
-    p_search.add_argument("--symmetry", choices=("on", "off"), default="on")
-    p_search.add_argument("--theorem-bound", default=None, help="exact bound id for early stop")
-    p_search.add_argument("--exclude-empty-and-full", action="store_true")
-    p_search.add_argument("--allow-slow", action="store_true")
-    for key in ("m", "s", "t", "h"):
-        p_search.add_argument(f"--{key}", type=int, help="parameter for --theorem-bound")
-    add_format(p_search)
-
-    p_audit = sub.add_parser("audit", help="chain-counting audits")
-    p_audit.add_argument("kind", choices=("lubell", "weighted", "fork", "slemma", "alpha"))
-    p_audit.add_argument("--family", required=True)
-    p_audit.add_argument("--trials", type=int, default=100000)
-    p_audit.add_argument("--seed", type=int, default=0)
-    p_audit.add_argument("--s", type=int, help="fork width for 'fork'")
-    add_format(p_audit)
-
-    p_lub = sub.add_parser("lubell", help="exact Lubell function of a family")
-    p_lub.add_argument("--family", required=True)
-    add_format(p_lub)
-
+    for name, (help_line, add_arguments, _, _) in _COMMANDS.items():
+        if command in (None, name):
+            add_arguments(sub.add_parser(name, help=help_line))
+        else:
+            sub.add_parser(name, help=help_line, add_help=False)
     return parser
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
+    # the top-level parser has no option that takes a value, so the first
+    # command name in argv is the subcommand argparse enters, if any
+    parser = build_parser(next((a for a in argv if a in _COMMANDS), None))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    handler, text_lines = _COMMANDS[args.command]
+    _, _, handler, text_lines = _COMMANDS[args.command]
     start = time.monotonic()
     try:
         obj, inputs, seed = handler(args, parser)

@@ -14,15 +14,18 @@ Finding one embedding takes the first item; counting exhausts the generator.
 
 A candidate domain is a bitset over the positions of its element's size
 level.  A placement ANDs the later domains with the placed mask's
-comparability rows, built lazily once per call.  Before an element walks its
-domain, support counts candidates (Hall's condition on classes that share one
-domain): k successors with one size and one domain D, such as the middles of
-diamond(m) or the two tops of a butterfly, keep only the candidates below at
-least k members of D, and when the element has t - 1 later twins, whose
-images all lie in its domain, each successor keeps only the positions above
-at least t members of it.  Every dropped candidate is one no embedding uses,
-so the embeddings still come in the same order: the same first violations,
-counts and search trees.
+comparability rows.  Rows depend only on the family's levels, so they are
+built lazily once per question (one ``is_avoiding``, ``find_violation`` or
+incremental check) and shared by every poset of its ConfigSet; each row is
+the AND of a few bit slices, one per ground element of the level.  Before
+an element walks its domain, support counts candidates (Hall's condition on
+classes that share one domain): k successors with one size and one domain
+D, such as the middles of diamond(m) or the two tops of a butterfly, keep
+only the candidates below at least k members of D, and when the element has
+t - 1 later twins, whose images all lie in its domain, each successor keeps
+only the positions above at least t members of it.  Every dropped candidate
+is one no embedding uses, so the embeddings still come in the same order:
+the same first violations, counts and search trees.
 
 Twins are elements with the same color, predecessors and successors; swapping
 two of them is a poset automorphism.  The generator yields only the
@@ -47,6 +50,7 @@ from .lattice import Mask
 COUNT_FAMILY_GUARD = 4096
 COUNT_POSET_GUARD = 8
 SIZE_TUPLE_CACHE = 1024
+SLICES_BY_TEXT = 16
 
 _MODES = ("standard", "induced")
 
@@ -141,12 +145,13 @@ def verify_embedding(family, poset: ColoredPoset, mode: str, assignment) -> bool
     return True
 
 
-def _embeddings(by_size, poset: ColoredPoset, mode: str):
+def _embeddings(by_size, poset: ColoredPoset, mode: str, cache):
     """Backtracking core: yield every embedding of the poset into the indexed
     family, each as the tuple of image masks in element order.  ``by_size``
-    maps a set size to the family's members of that size.  A poset with
-    more elements than the family has members cannot embed injectively, so
-    it yields nothing before any plan is built.
+    maps a set size to the family's members of that size, and ``cache`` is
+    the question's ``(rows, slices)`` pair of dicts (see ``_Call``).  A
+    poset with more elements than the family has members cannot embed
+    injectively, so it yields nothing before any plan is built.
 
     Two stages per size tuple: commit every color to one set size (respecting
     the size order forced by inter-color relations), then assign elements in
@@ -175,7 +180,7 @@ def _embeddings(by_size, poset: ColoredPoset, mode: str):
     cap = max(plan.class_size)
     counts = tuple(sorted((s, min(len(v), cap)) for s, v in by_size.items() if v))
     sizes = _size_tuples(poset, counts)
-    call = _Call(plan, by_size, mode == "induced")
+    call = _Call(plan, by_size, mode == "induced", cache)
     for size in sizes if sizes is not None else _size_gen(poset, counts, ()):
         call.size, call.level = size, [by_size[s] for s in size]
         yield from _assign(call, 0, [(1 << len(level)) - 1 for level in call.level])
@@ -184,13 +189,38 @@ def _embeddings(by_size, poset: ColoredPoset, mode: str):
 class _Call:
     """One call's state.  Only the call's generator frames refer to it and it
     refers to none of them, so reference counting frees it as soon as the
-    generator ends or is dropped.  ``rows`` and ``slices`` cache ``_row``."""
+    generator ends or is dropped.  ``rows`` and ``slices`` cache ``_row``;
+    they come from the question, so every poset of its ConfigSet shares
+    them and each row and each level's slices are built once per question."""
 
     __slots__ = ("plan", "by_size", "induced", "size", "level", "image", "used", "rows", "slices")
 
-    def __init__(self, plan: _Plan, by_size, induced: bool):
+    def __init__(self, plan: _Plan, by_size, induced: bool, cache):
         self.plan, self.by_size, self.induced = plan, by_size, induced
-        self.image, self.used, self.rows, self.slices = [0] * len(plan.order), set(), {}, {}
+        self.image, self.used = [0] * len(plan.order), set()
+        self.rows, self.slices = cache
+
+
+def _slices(level) -> list[int]:
+    """For each ground element up to the largest one a member holds, the
+    bitset of the positions of the level's members holding it.  Past
+    SLICES_BY_TEXT members, as in ``check``, they are the columns of the
+    members' binary texts, last member first: ``bin(member | 1 << width)``
+    is "0b1" and ``width`` digits, so every (width + 3)-th character from an
+    element's digit reads its slice.  The search's small levels are faster
+    set bit by set bit."""
+    width = max(level).bit_length()
+    if len(level) > SLICES_BY_TEXT:
+        text = "".join(map(bin, map((1 << width).__or__, reversed(level))))
+        group = width + 3
+        return [int(text[group - 1 - i :: group], 2) for i in range(width)]
+    slices = [0] * width
+    for j, member in enumerate(level):
+        while member:
+            low = member & -member
+            member ^= low
+            slices[low.bit_length() - 1] |= 1 << j
+    return slices
 
 
 def _row(call: _Call, mask: Mask, size: int) -> int:
@@ -198,24 +228,32 @@ def _row(call: _Call, mask: Mask, size: int) -> int:
     larger size) or strictly below it (a smaller one); at mask's own size,
     mask's own position, which induced mode excludes.  Rows come from the
     level's bit slices (for each ground element, the positions of the
-    members holding it): above is the AND of the slices of mask's elements,
-    below the AND of the complements of the other slices."""
+    members holding it), visiting only mask's set bits or its gaps: above is
+    the AND of the slices of mask's elements, and 0 when mask holds an
+    element no member holds (one past the slices); below, or at the same
+    size, it is the positions in none of the slices of the elements mask
+    lacks."""
     row = call.rows.get((mask, size))
     if row is None:
         level = call.by_size[size]
         slices = call.slices.get(size)
         if slices is None:
-            slices = call.slices[size] = [0] * max(level).bit_length()
-            for j, member in enumerate(level):
-                while member:
-                    low = member & -member
-                    member ^= low
-                    slices[low.bit_length() - 1] |= 1 << j
-        above = size > mask.bit_count()
-        row = 0 if above and mask >> len(slices) else (1 << len(level)) - 1
-        for i, has in enumerate(slices):
-            if mask >> i & 1 == above:
-                row &= has if above else ~has
+            slices = call.slices[size] = _slices(level)
+        row = (1 << len(level)) - 1
+        if size > mask.bit_count():
+            if mask >> len(slices):
+                row = 0
+            bits = mask
+            while bits and row:
+                low = bits & -bits
+                bits ^= low
+                row &= slices[low.bit_length() - 1]
+        else:
+            bits = ~mask & ((1 << len(slices)) - 1)
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                row &= ~slices[low.bit_length() - 1]
         call.rows[(mask, size)] = row
     return row
 
@@ -224,12 +262,16 @@ def _cover(call: _Call, domain: int, level, size: int, k: int) -> int:
     """Bitset of the positions in level ``size`` strictly above or below at
     least k members of ``domain`` (a bitset over ``level``).  ``counts[j]``
     holds the positions related to more than j members so far; adding a
-    member's row moves each position up one counter, saturating at k."""
-    counts = [0] * k
+    member's row moves each position up one counter, saturating at k.  A
+    row already in the question's cache is read there, without a call."""
+    rows, counts = call.rows, [0] * k
     while domain:
         low = domain & -domain
         domain ^= low
-        row = _row(call, level[low.bit_length() - 1], size)
+        mask = level[low.bit_length() - 1]
+        row = rows.get((mask, size))
+        if row is None:
+            row = _row(call, mask, size)
         for j in range(k - 1, 0, -1):
             counts[j] |= counts[j - 1] & row
         counts[0] |= row
@@ -326,16 +368,17 @@ def _size_tuples(poset: ColoredPoset, counts) -> tuple[tuple[int, ...], ...] | N
     return sizes if len(sizes) <= SIZE_TUPLE_CACHE else None
 
 
-def _search(by_size, poset: ColoredPoset, mode: str):
+def _search(by_size, poset: ColoredPoset, mode: str, cache):
     """The first embedding's image masks, or None."""
-    return next(_embeddings(by_size, poset, mode), None)
+    return next(_embeddings(by_size, poset, mode, cache), None)
 
 
 def _hits_with_member(by_size, configs: ConfigSet, mode: str) -> bool:
     """True iff some config embeds into the indexed family.  When that family
     is an avoiding family plus one new set, every embedding must use the new
     set, so this is also the incremental check for adding it."""
-    return any(_search(by_size, poset, mode) is not None for poset in configs)
+    cache = ({}, {})
+    return any(_search(by_size, poset, mode, cache) is not None for poset in configs)
 
 
 def find_embedding(family, poset: ColoredPoset, mode: str = "standard") -> tuple[int, ...] | None:
@@ -343,7 +386,12 @@ def find_embedding(family, poset: ColoredPoset, mode: str = "standard") -> tuple
     element -> index into family.members), or None.  The witness is
     re-verified against all invariants before return."""
     _check_mode(mode)
-    hit = _search(family.by_size, poset, mode)
+    return _witness(family, poset, mode, ({}, {}))
+
+
+def _witness(family, poset: ColoredPoset, mode: str, cache) -> tuple[int, ...] | None:
+    """``find_embedding`` with the question's row cache."""
+    hit = _search(family.by_size, poset, mode, cache)
     if hit is None:
         return None
     assignment = tuple(map(family.members.index, hit))
@@ -362,7 +410,8 @@ def count_embeddings(family, poset: ColoredPoset, mode: str = "standard") -> int
         raise ValueError(f"count_embeddings allows at most {COUNT_FAMILY_GUARD} members")
     if poset.p > COUNT_POSET_GUARD:
         raise ValueError(f"count_embeddings allows at most {COUNT_POSET_GUARD} poset elements")
-    return sum(1 for _ in _embeddings(family.by_size, poset, mode)) * _plan(poset).twin_factor
+    embeddings = _embeddings(family.by_size, poset, mode, ({}, {}))
+    return sum(1 for _ in embeddings) * _plan(poset).twin_factor
 
 
 def is_avoiding(family, configs: ConfigSet, mode: str = "standard") -> bool:
@@ -375,8 +424,9 @@ def find_violation(family, configs: ConfigSet, mode: str = "standard"):
     """(poset index, assignment) for the first embeddable member, or None;
     the assignment is as ``find_embedding`` returns it."""
     _check_mode(mode)
+    cache = ({}, {})
     for i, poset in enumerate(configs):
-        assignment = find_embedding(family, poset, mode)
+        assignment = _witness(family, poset, mode, cache)
         if assignment is not None:
             return i, assignment
     return None

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -558,6 +559,52 @@ class TestReplayAndSchema:
             obj["run"].pop("wall_time")
             outs.append(obj)
         assert outs[0] == outs[1]
+
+
+class TestParserSurface:
+    @pytest.mark.parametrize(
+        "argv, code, digest",
+        [
+            (["-h"], 0, "f7129b055484cd055eb30c474ea127cef5b3423e63aece9eb10772aded53e5b8"),
+            (["--version"], 0, "a4ddf82221c32faebf9290a0e142c718401dbfa95423972e89b486406fc19f4f"),
+            (["bound", "-h"], 0, "fc7ace536af84663d9e2b0e5e5aa2ee43cded5ffb3481588a743d678f655b648"),
+            (["construct", "-h"], 0, "b72f5dd34371237a14714709f55c8bebb605774b2f118790625f69e706eeb734"),
+            (["check", "-h"], 0, "844b7694f612616ad1997e0617345190873e1eedeb96d8ad2c7d94422f1c1a6c"),
+            (["search", "-h"], 0, "7587098490b7d40bf3bd2b4c6f33586cf3e21cbcf0f904b2d1b2db90919bbf01"),
+            (["audit", "-h"], 0, "fae8e7eaf023c0335438e6eb8bd110aa2fa50a3f082d27e17fda05b6971223e2"),
+            (["lubell", "-h"], 0, "570fce57b4b59e1a225f3b53de83d22ac0994420b7d30a4f396a9bad8f03bc2c"),
+            ([], 2, "d7f4b6e13ced6b550b4a318cc88a742e7bf1ccdcffc9450dede73dd180085110"),
+            (["nope"], 2, "0e550cb01ae8708c01c684e5620559beeb0f6e9591b8c5e6ce9bc458dcb7684a"),
+            (["construct", "cube"], 2, "c2d66ee18ab294841e170873d134ccde026bcb2d9d015b09eb646c67730aa4f7"),
+            (["check", "--family", "f.txt"], 2,
+             "cb091169ed6e4da7262f9a5fa03c8848903df3d1eca1552c6b1194f618d608c2"),
+            (["bound", "kt"], 2, "4a41510169eee587cfc3822d6c62794800fa546ad4701059c071fd6201076d91"),
+            (["search", "--n", "4", "--config", "kt_pair", "--m", "3"], 2,
+             "80bf88eff95aecb5cca648ba0a4b7df13028fa57f4fabd3662e0a5a570eba8ff"),
+        ],
+        ids=["help", "version", "bound_help", "construct_help", "check_help", "search_help",
+             "audit_help", "lubell_help", "no_command", "unknown_command", "bad_choice",
+             "missing_required", "bound_missing_param", "search_stray_param"],
+    )
+    def test_help_and_usage_errors_are_pinned(self, capsys, monkeypatch, argv, code, digest):
+        # digests of stdout NUL stderr as the parser that built every
+        # subcommand's arguments printed them, at an 80-column terminal
+        monkeypatch.setenv("COLUMNS", "80")
+        got, out, err = run_cli(capsys, *argv)
+        assert got == code
+        assert hashlib.sha256(f"{out}\0{err}".encode()).hexdigest() == digest, out + err
+
+    def test_only_the_invoked_subcommand_gets_arguments(self, capsys, monkeypatch):
+        progs = set()
+        add_argument = argparse.ArgumentParser.add_argument
+
+        def recorded(self, *args, **kwargs):
+            progs.add(self.prog)
+            return add_argument(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", recorded)
+        assert run_cli(capsys, "bound", "kt", "--n", "5")[0] == 0
+        assert progs == {"forbidposet", "forbidposet bound"}
 
 
 def checkout_env() -> dict:

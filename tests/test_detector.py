@@ -3,7 +3,7 @@ import hashlib
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from forbidposet import (
     ColoredPoset,
@@ -530,3 +530,71 @@ class TestRandomPosetOracle:
             assert is_avoiding(fam, cfg, mode) == is_avoiding(
                 complement_family(fam), cfg.dual(), mode
             )
+
+
+@st.composite
+def level_and_masks(draw):
+    """One size level of a family over [n] (any share of the sets of one
+    size, so levels on both sides of SLICES_BY_TEXT) and masks over [n + 1]
+    to ask rows of: any size, so strictly above, strictly below and same
+    size all occur, and element n, which no member holds, among them."""
+    n = draw(st.integers(1, 8))
+    size = draw(st.integers(0, n))
+    everyone = [m for m in range(1 << n) if m.bit_count() == size]
+    keep = draw(st.lists(st.booleans(), min_size=len(everyone), max_size=len(everyone)))
+    level = [m for m, kept in zip(draw(st.permutations(everyone)), keep) if kept] or everyone[:1]
+    masks = draw(st.lists(st.integers(0, (1 << (n + 1)) - 1), min_size=1, max_size=6))
+    return size, level, masks
+
+
+def scanned_row(level, mask: int, size: int) -> int:
+    """The positions of the level's members strictly above mask (a larger
+    size), strictly below it (a smaller one) or equal to it (the same size),
+    by testing each member: between different sizes containment is strict."""
+    row = 0
+    for j, member in enumerate(level):
+        if size > mask.bit_count():
+            hit = member & mask == mask
+        elif size < mask.bit_count():
+            hit = member & mask == member
+        else:
+            hit = member == mask
+        row |= hit << j
+    return row
+
+
+class TestRowCache:
+    @ORACLE
+    @given(level_and_masks())
+    @example((2, [0b011, 0b101], [0]))  # the empty mask below a level
+    @example((1, [0b01, 0b10], [0b100, 0b101, 0]))  # an element no member holds
+    @example((0, [0], [0, 0b1]))  # the empty set's level, with no slices
+    def test_row_matches_a_scan_of_the_level(self, case):
+        size, level, masks = case
+        call = detector._Call(_plan(KT_UP), {size: tuple(level)}, False, ({}, {}))
+        for mask in masks:
+            assert detector._row(call, mask, size) == scanned_row(level, mask, size), (level, mask)
+
+    @pytest.mark.parametrize("question", ["find_violation", "is_avoiding"])
+    def test_posets_of_one_question_share_rows(self, monkeypatch, question):
+        # butterfly_pair's two posets ask for the same two levels of
+        # middle(12, 2): 1,716 distinct rows, where each poset alone
+        # computes 1,715 or 1,716 and builds both levels' slices
+        computed, built = [], []
+        row = detector._row
+
+        def counted(call, mask, size):
+            if (mask, size) not in call.rows:
+                computed.append((mask, size))
+                if size not in call.slices:
+                    built.append(size)
+            return row(call, mask, size)
+
+        monkeypatch.setattr(detector, "_row", counted)
+        family, butterfly = middle_levels(12, 2), build_named("butterfly_pair")
+        if question == "find_violation":
+            assert find_violation(family, butterfly) is None
+        else:
+            assert is_avoiding(family, butterfly)
+        assert sorted(built) == [5, 6]
+        assert len(computed) == len(set(computed)) == 1716
