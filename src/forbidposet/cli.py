@@ -317,10 +317,11 @@ def _lubell_text(obj) -> list[str]:
 
 
 def _format_arg(p, default="structured"):
-    p.add_argument(
-        "--format", choices=("structured", "text"), default=default,
-        help="structured JSON (default) or human-readable text",
-    )
+    if default == "text":
+        line = "structured JSON or human-readable text (default)"
+    else:
+        line = "structured JSON (default) or human-readable text"
+    p.add_argument("--format", choices=("structured", "text"), default=default, help=line)
 
 
 def _bound_parser(p):

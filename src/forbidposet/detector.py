@@ -14,14 +14,16 @@ Finding one embedding takes the first item; counting exhausts the generator.
 
 A candidate domain is a bitset over the positions of its element's size
 level.  A placement ANDs the later domains with the placed mask's
-comparability rows.  Rows depend only on the family's levels, so they are
-built lazily once per question (one ``is_avoiding``, ``find_violation`` or
-incremental check) and shared by every poset of its ConfigSet; each row is
-the AND of a few bit slices, one per ground element of the level.  Before
-an element walks its domain, support counts candidates (Hall's condition on
-classes that share one domain): k successors with one size and one domain
-D, such as the middles of diamond(m) or the two tops of a butterfly, keep
-only the candidates below at least k members of D, and when the element has
+comparability rows.  A row over a level depends only on that level's
+members, so rows are built lazily and kept per level: once per question
+(one ``is_avoiding`` or ``find_violation``), shared by every poset of its
+ConfigSet, or, for the search's incremental checks, in the searcher until
+it changes that level.  Each row is the AND of a few bit slices, one per
+ground element of the level.  Before an element walks its domain, support
+counts candidates (Hall's condition on classes that share one domain): k
+successors with one size and one domain D, such as the middles of
+diamond(m) or the two tops of a butterfly, keep only the candidates below
+at least k members of D, and when the element has
 t - 1 later twins, whose images all lie in its domain, each successor keeps
 only the positions above at least t members of it.  Every dropped candidate
 is one no embedding uses, so the embeddings still come in the same order:
@@ -149,7 +151,7 @@ def _embeddings(by_size, poset: ColoredPoset, mode: str, cache):
     """Backtracking core: yield every embedding of the poset into the indexed
     family, each as the tuple of image masks in element order.  ``by_size``
     maps a set size to the family's members of that size, and ``cache`` is
-    the question's ``(rows, slices)`` pair of dicts (see ``_Call``).  A
+    the ``(rows, slices)`` pair of per-level dicts (see ``_Call``).  A
     poset with more elements than the family has members cannot embed
     injectively, so it yields nothing before any plan is built.
 
@@ -189,9 +191,12 @@ def _embeddings(by_size, poset: ColoredPoset, mode: str, cache):
 class _Call:
     """One call's state.  Only the call's generator frames refer to it and it
     refers to none of them, so reference counting frees it as soon as the
-    generator ends or is dropped.  ``rows`` and ``slices`` cache ``_row``;
-    they come from the question, so every poset of its ConfigSet shares
-    them and each row and each level's slices are built once per question."""
+    generator ends or is dropped.  ``rows`` and ``slices`` cache ``_row``
+    per level: ``rows[size][mask]`` is mask's row over level ``size`` and
+    ``slices[size]`` that level's slices.  They come from the caller and
+    outlive the call: a question's fresh pair is shared by every poset of
+    its ConfigSet, and the searcher's pair lasts until it changes a level,
+    when it drops that level's entries."""
 
     __slots__ = ("plan", "by_size", "induced", "size", "level", "image", "used", "rows", "slices")
 
@@ -233,7 +238,10 @@ def _row(call: _Call, mask: Mask, size: int) -> int:
     element no member holds (one past the slices); below, or at the same
     size, it is the positions in none of the slices of the elements mask
     lacks."""
-    row = call.rows.get((mask, size))
+    bucket = call.rows.get(size)
+    if bucket is None:
+        bucket = call.rows[size] = {}
+    row = bucket.get(mask)
     if row is None:
         level = call.by_size[size]
         slices = call.slices.get(size)
@@ -254,7 +262,7 @@ def _row(call: _Call, mask: Mask, size: int) -> int:
                 low = bits & -bits
                 bits ^= low
                 row &= ~slices[low.bit_length() - 1]
-        call.rows[(mask, size)] = row
+        bucket[mask] = row
     return row
 
 
@@ -263,13 +271,13 @@ def _cover(call: _Call, domain: int, level, size: int, k: int) -> int:
     least k members of ``domain`` (a bitset over ``level``).  ``counts[j]``
     holds the positions related to more than j members so far; adding a
     member's row moves each position up one counter, saturating at k.  A
-    row already in the question's cache is read there, without a call."""
-    rows, counts = call.rows, [0] * k
+    row already in the cache is read there, without a call."""
+    bucket, counts = call.rows.setdefault(size, {}), [0] * k
     while domain:
         low = domain & -domain
         domain ^= low
         mask = level[low.bit_length() - 1]
-        row = rows.get((mask, size))
+        row = bucket.get(mask)
         if row is None:
             row = _row(call, mask, size)
         for j in range(k - 1, 0, -1):
@@ -373,11 +381,14 @@ def _search(by_size, poset: ColoredPoset, mode: str, cache):
     return next(_embeddings(by_size, poset, mode, cache), None)
 
 
-def _hits_with_member(by_size, configs: ConfigSet, mode: str) -> bool:
+def _hits_with_member(by_size, configs: ConfigSet, mode: str, cache=None) -> bool:
     """True iff some config embeds into the indexed family.  When that family
     is an avoiding family plus one new set, every embedding must use the new
-    set, so this is also the incremental check for adding it."""
-    cache = ({}, {})
+    set, so this is also the incremental check for adding it.  ``cache`` is
+    a ``(rows, slices)`` pair that outlives the call (see ``_Call``); by
+    default the question gets a fresh one."""
+    if cache is None:
+        cache = ({}, {})
     return any(_search(by_size, poset, mode, cache) is not None for poset in configs)
 
 

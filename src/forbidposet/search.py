@@ -15,6 +15,21 @@ and since the current family is always avoiding, any embedding must use the
 candidate, so ``addable`` asks the detector the plain question "does any
 configuration embed?" of the enlarged family.
 
+A child skips the recheck of a set d when d and the set c just included
+cannot both be images of one embedding.  Every d left in the loop is
+viable at the node, so the node's family plus d avoids, as does the
+family plus c; an embedding into the family plus c and d therefore maps
+two distinct poset elements onto c and d.  Whether a pair of elements can
+land on two given sets depends only on whether the sets are comparable or
+of equal size, so three flags over the ConfigSet's element pairs decide it
+(``_pair_roles``), and where they say no, d stays viable unasked.  The root
+and ``greedy_lower_bound`` ask about every set.
+
+The searcher owns the detector's row cache: a row over a size level
+depends only on that level's members, so ``push`` and ``pop`` drop the
+rows and slices of the one level they change, and the rows over the other
+levels serve every sibling check and every child.
+
 Symmetry is only the choice of orbit key.  An embedding depends only on
 containment and cardinality, which every permutation of [n] preserves, so
 any permuted copy of an avoiding family avoids the same configurations.
@@ -106,11 +121,36 @@ class _Stop(Exception):
         self.status = status
 
 
+def _pair_roles(configs: ConfigSet, mode: str) -> tuple[bool, bool, bool]:
+    """Whether two distinct images of one embedding can be comparable sets,
+    incomparable sets of equal sizes, and incomparable sets of different
+    sizes.  A related pair of elements maps to comparable sets; an unrelated
+    pair of one color to equal sizes, where comparable means equal; an
+    unrelated pair of two colors to any two sets, except comparable ones in
+    induced mode.  The coloring is order-preserving, so a pair of two colors
+    is related only as the lower color below the higher one."""
+    related = same = free = False
+    for poset in configs:
+        k, rows, colors = poset.num_colors, poset.rows, poset.colors
+        classes = [0] * (k + 1)
+        for e, c in enumerate(colors):
+            classes[c] |= 1 << e
+        above, higher = [0] * (k + 1), 0
+        for c in range(k, 0, -1):
+            above[c], higher = higher, higher | classes[c]
+        related = related or any(rows)
+        same = same or any(m & (m - 1) for m in classes)
+        free = free or any(above[colors[a]] & ~rows[a] for a in range(poset.p))
+    return related or (free and mode == "standard"), same or free, free
+
+
 class _Searcher:
     def __init__(self, problem: SearchProblem):
         self.problem = problem
         self.members: list[Mask] = []
         self.by_size: dict[int, list[Mask]] = {s: [] for s in range(problem.n + 1)}
+        self.cache: tuple[dict, dict] = ({}, {})
+        self.roles = _pair_roles(problem.configs, problem.mode)
         self.best_members: tuple[Mask, ...] = ()
         self.best_size = 0
         self.nodes = 0
@@ -121,18 +161,34 @@ class _Searcher:
             self.deadline = time.monotonic() + problem.time_limit
 
     def push(self, mask: Mask) -> None:
+        size = mask.bit_count()
         self.members.append(mask)
-        self.by_size[mask.bit_count()].append(mask)
+        self.by_size[size].append(mask)
+        self.forget(size)
 
     def pop(self) -> None:
-        mask = self.members.pop()
-        self.by_size[mask.bit_count()].pop()
+        size = self.members.pop().bit_count()
+        self.by_size[size].pop()
+        self.forget(size)
+
+    def forget(self, size: int) -> None:
+        """Drop the detector rows and slices over level ``size``, which just
+        changed; those over the other levels stay valid."""
+        for table in self.cache:
+            table.pop(size, None)
 
     def addable(self, mask: Mask) -> bool:
         self.push(mask)
-        hit = _hits_with_member(self.by_size, self.problem.configs, self.problem.mode)
+        hit = _hits_with_member(self.by_size, self.problem.configs, self.problem.mode, self.cache)
         self.pop()
         return not hit
+
+    def can_share(self, c: Mask, d: Mask) -> bool:
+        """Whether one embedding can have both c and d among its images."""
+        comparable, level, free = self.roles
+        if c & d in (c, d):
+            return comparable
+        return level if c.bit_count() == d.bit_count() else free
 
     def record_if_better(self) -> None:
         cur = len(self.members)
@@ -167,7 +223,7 @@ class _Searcher:
                 return
             c, rest = viable[0], viable[1:]
             self.push(c)
-            self.branch([d for d in rest if self.addable(d)])
+            self.branch([d for d in rest if not self.can_share(c, d) or self.addable(d)])
             self.pop()
             k = key(c)
             viable = [d for d in rest if key(d) != k]

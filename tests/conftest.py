@@ -1,6 +1,7 @@
 """Shared oracles and fixtures: reference implementations that share no code
-with what they check (the brute-force embedding check, the definitional q(k)
-sum, the chain-by-chain closest-size ownership and the p^p coloring walk),
+with what they check (the brute-force embedding check, the member-by-member
+comparability row, the definitional q(k) sum, the chain-by-chain
+closest-size ownership and the p^p coloring walk),
 the roster of named configurations and a strategy for random colored
 posets."""
 
@@ -87,6 +88,22 @@ def brute_count_embeddings(family: Family, poset: ColoredPoset, mode: str = "sta
 
 def brute_avoiding(family: Family, configs: ConfigSet, mode: str = "standard") -> bool:
     return all(not brute_embedding_exists(family, poset, mode) for poset in configs)
+
+
+def scanned_row(level, mask: int, size: int) -> int:
+    """The positions of the level's members strictly above mask (a larger
+    size), strictly below it (a smaller one) or equal to it (the same size),
+    by testing each member: between different sizes containment is strict."""
+    row = 0
+    for j, member in enumerate(level):
+        if size > mask.bit_count():
+            hit = member & mask == mask
+        elif size < mask.bit_count():
+            hit = member & mask == member
+        else:
+            hit = member == mask
+        row |= hit << j
+    return row
 
 
 def powerset_family(n: int) -> Family:

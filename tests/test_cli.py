@@ -568,7 +568,7 @@ class TestParserSurface:
             (["-h"], 0, "f7129b055484cd055eb30c474ea127cef5b3423e63aece9eb10772aded53e5b8"),
             (["--version"], 0, "a4ddf82221c32faebf9290a0e142c718401dbfa95423972e89b486406fc19f4f"),
             (["bound", "-h"], 0, "fc7ace536af84663d9e2b0e5e5aa2ee43cded5ffb3481588a743d678f655b648"),
-            (["construct", "-h"], 0, "b72f5dd34371237a14714709f55c8bebb605774b2f118790625f69e706eeb734"),
+            (["construct", "-h"], 0, "102c278ac6a6db94ca543f8fa6d3560f786faf8129c1f1104f42b3451ac99925"),
             (["check", "-h"], 0, "844b7694f612616ad1997e0617345190873e1eedeb96d8ad2c7d94422f1c1a6c"),
             (["search", "-h"], 0, "7587098490b7d40bf3bd2b4c6f33586cf3e21cbcf0f904b2d1b2db90919bbf01"),
             (["audit", "-h"], 0, "fae8e7eaf023c0335438e6eb8bd110aa2fa50a3f082d27e17fda05b6971223e2"),
@@ -588,7 +588,9 @@ class TestParserSurface:
     )
     def test_help_and_usage_errors_are_pinned(self, capsys, monkeypatch, argv, code, digest):
         # digests of stdout NUL stderr as the parser that built every
-        # subcommand's arguments printed them, at an 80-column terminal
+        # subcommand's arguments printed them, at an 80-column terminal;
+        # construct_help since re-pinned, its --format help naming text as
+        # construct's default
         monkeypatch.setenv("COLUMNS", "80")
         got, out, err = run_cli(capsys, *argv)
         assert got == code

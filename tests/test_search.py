@@ -21,15 +21,25 @@ from forbidposet import (
     sigma,
     verify_witness,
 )
+from forbidposet import search
+from forbidposet.detector import _hits_with_member
 from forbidposet.search import (
     LOWER_BOUND_ONLY,
     OPTIMAL_ASSUMING_THEOREM,
     PROVEN_OPTIMAL,
     SearchProblem,
+    _Searcher,
     candidate_order,
 )
 
-from conftest import all_families, brute_avoiding, colored_posets
+from conftest import (
+    all_families,
+    brute_avoiding,
+    colored_posets,
+    combo_satisfies,
+    powerset_family,
+    scanned_row,
+)
 
 
 def brute_force_max(n, configs, mode="standard"):
@@ -371,6 +381,101 @@ class TestRandomPosetOracle:
                 for symmetry in (True, False)
             )
             assert (on.best_size, on.witness.members) == (off.best_size, off.witness.members), mode
+
+
+class TestPairRoleSkip:
+    """A child rechecks a set d only when it and the set c just included can
+    both be images of one embedding: anything else is avoiding already."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(st.integers(1, 3), st.lists(colored_posets(), min_size=1, max_size=2))
+    def test_every_pair_of_images_is_judged_shareable(self, n, posets):
+        # the oracle walks every injective assignment into all 2^n sets
+        cfg = ConfigSet(tuple(posets))
+        masks = powerset_family(n).members
+        for mode in ("standard", "induced"):
+            searcher = _Searcher(SearchProblem(n=n, configs=cfg, mode=mode))
+            for poset in cfg:
+                for combo in itertools.permutations(range(len(masks)), poset.p):
+                    if not combo_satisfies(masks, poset, mode, combo):
+                        continue
+                    for i, j in itertools.permutations(combo, 2):
+                        assert searcher.can_share(masks[i], masks[j]), (mode, masks[i], masks[j])
+
+    @pytest.mark.parametrize(
+        "config, n, calls, nodes, prunes",
+        [
+            ("kt_pair", 5, 3378, 533, 523),  # 4,841 calls without the skip
+            ("diamond(4)", 5, 1978, 187, 185),  # 3,077 without it
+            ("butterfly_pair", 4, 1435, 228, 216),  # unrelated pairs of two colors:
+            ("j_config", 4, 891, 124, 113),  # every pair shareable, nothing skipped
+        ],
+    )
+    def test_detector_calls_pinned(self, monkeypatch, config, n, calls, nodes, prunes):
+        counted = []
+        hits = search._hits_with_member
+
+        def counting(*args):
+            counted.append(None)
+            return hits(*args)
+
+        monkeypatch.setattr(search, "_hits_with_member", counting)
+        res = exact_max_family(SearchProblem(n, build_named(parse_config_id(config))))
+        assert (len(counted), res.nodes_explored, res.prunes) == (calls, nodes, prunes)
+
+
+@st.composite
+def searcher_walks(draw):
+    """A searcher over random posets at n <= 4 and a walk of ("push", mask),
+    ("pop", None) and ("addable", mask) steps, the masks not yet members."""
+    n = draw(st.integers(1, 4))
+    posets = draw(st.lists(colored_posets(), min_size=1, max_size=2))
+    mode = draw(st.sampled_from(("standard", "induced")))
+    members, steps = [], []
+    for _ in range(draw(st.integers(1, 24))):
+        kind = draw(st.sampled_from(("push", "pop", "addable", "addable")))
+        if kind == "pop":
+            if members:
+                members.pop()
+                steps.append((kind, None))
+            continue
+        free = [m for m in range(1 << n) if m not in members]
+        if not free:
+            continue
+        mask = draw(st.sampled_from(free))
+        if kind == "push":
+            members.append(mask)
+        steps.append((kind, mask))
+    return SearchProblem(n=n, configs=ConfigSet(tuple(posets)), mode=mode), steps
+
+
+class TestSearchRowCache:
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(searcher_walks())
+    def test_rows_stay_fresh_across_push_and_pop(self, walk):
+        problem, steps = walk
+        searcher = _Searcher(problem)
+        rows, slices = searcher.cache
+        for kind, mask in steps:
+            if kind == "push":
+                searcher.push(mask)
+            elif kind == "pop":
+                searcher.pop()
+            else:
+                by_size = {s: list(level) for s, level in searcher.by_size.items()}
+                by_size[mask.bit_count()].append(mask)
+                fresh = _hits_with_member(by_size, problem.configs, problem.mode)
+                assert searcher.addable(mask) is not fresh
+                for size, bucket in rows.items():
+                    level = searcher.by_size[size]
+                    for source, row in bucket.items():
+                        assert row == scanned_row(level, source, size), (size, source)
+                for size, cached in slices.items():
+                    level = searcher.by_size[size]
+                    assert cached == [
+                        sum((member >> e & 1) << j for j, member in enumerate(level))
+                        for e in range(max(level).bit_length())
+                    ], size
 
 
 class TestVerifyWitness:
