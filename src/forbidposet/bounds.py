@@ -32,9 +32,7 @@ class BoundResult:
 
 
 def _ceil_log(base: int, x: int) -> int:
-    """Smallest K >= 0 with base**K >= x (exact integer arithmetic)."""
-    if x < 1:
-        raise ValueError(f"ceil log needs x >= 1, got {x}")
+    """Smallest K >= 0 with base**K >= x, so 0 for x < 1 (exact integers)."""
     k, v = 0, 1
     while v < x:
         k += 1
@@ -42,28 +40,34 @@ def _ceil_log(base: int, x: int) -> int:
     return k
 
 
+def _sigma(n: int, k: int) -> int:
+    """``sigma`` with k clamped to [0, n + 1]: 0 for k <= 0, and all 2^n
+    sets past n + 1, so that out-of-range parameters still evaluate."""
+    return 0 if k <= 0 else sigma(n, min(k, n + 1))
+
+
 def _fork_main(n: int, s: int) -> Fraction:
     return (1 + Fraction(2 * (s - 1), n)) * binomial(n, n // 2)
 
 
 def _baton_main(n: int, h: int, s: int, t: int, h_factor: int) -> Fraction:
-    return sigma(n, h - 1) + binomial(n, (n + h) // 2) * Fraction(2 * h_factor * (s + t - 2), n)
+    return _sigma(n, h - 1) + binomial(n, (n + h) // 2) * Fraction(2 * h_factor * (s + t - 2), n)
 
 
 def _diamond_restricted(n: int, m: int) -> int:
-    return 3 * (_ceil_log(3, max(m - 1, 1)) + 1) * binomial(n, n // 2)
+    return 3 * (_ceil_log(3, m - 1) + 1) * binomial(n, n // 2)
 
 
 def _glu_diamond(n: int, m: int) -> Fraction:
     t = _ceil_log(2, m + 2)
     mid = binomial(t, t // 2)
     if m <= 2 ** t - mid - 1:
-        return Fraction(sigma(n, t))
+        return Fraction(_sigma(n, t))
     return (Fraction(t + 1) - Fraction(2 ** t - m - 1, mid)) * binomial(n, n // 2)
 
 
 def _sigma2(n: int) -> int:
-    return sigma(n, 2)
+    return _sigma(n, 2)
 
 
 class _Bound(NamedTuple):
@@ -109,7 +113,7 @@ _TABLE = {
         (lambda n, m: m >= 2, "m >= 2"), "size-restricted diamond bound",
     ),
     "diamond_m4": _Bound(
-        ("n",), lambda n: sigma(n, 4), EXACT, (lambda n: n >= 3, "n >= 3"),
+        ("n",), lambda n: _sigma(n, 4), EXACT, (lambda n: n >= 3, "n >= 3"),
         "size-restricted diamond bound, four equal-size middles (sharp)",
     ),
     "glu_diamond": _Bound(

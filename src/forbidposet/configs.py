@@ -18,6 +18,13 @@ import json
 import re
 from dataclasses import dataclass
 
+POSET_GUARD = 4096  # elements; a poset's rows then take at most 2 MB
+
+
+def _check_elements(p: int) -> None:
+    if p > POSET_GUARD:
+        raise ValueError(f"posets are limited to {POSET_GUARD} elements, got {p}")
+
 
 def _closure_rows(p: int, pairs) -> tuple[int, ...]:
     """Successor bitsets of the transitive closure of a relation on 0..p-1.
@@ -289,6 +296,7 @@ def build_named(cid: ConfigId | str, *params: int) -> ConfigSet:
         (s,) = _expect_params(cid, 1)
         if s < 2:
             raise ValueError(f"fork needs s >= 2, got {s}")
+        _check_elements(s + 1)
         rel = [(0, i) for i in range(1, s + 1)]
         return ConfigSet((ColoredPoset.build(s + 1, rel, [1] + [2] * s, f"fork({s})"),))
 
@@ -297,6 +305,7 @@ def build_named(cid: ConfigId | str, *params: int) -> ConfigSet:
         if h < 3 or s < 1 or t < 1:
             raise ValueError(f"baton needs h >= 3 and s, t >= 1, got ({h}, {s}, {t})")
         p = h + s + t - 2
+        _check_elements(p)
         lows = list(range(s))
         mids = list(range(s, s + h - 2))
         highs = list(range(s + h - 2, p))
@@ -323,6 +332,7 @@ def build_named(cid: ConfigId | str, *params: int) -> ConfigSet:
         (m,) = _expect_params(cid, 1)
         if m < 2:
             raise ValueError(f"diamond needs m >= 2, got {m}")
+        _check_elements(m + 2)
         rel = [(0, i) for i in range(1, m + 1)] + [(i, m + 1) for i in range(1, m + 1)]
         colors = [1] + [2] * m + [3]
         return ConfigSet((ColoredPoset.build(m + 2, rel, colors, f"diamond({m})"),))
@@ -331,6 +341,7 @@ def build_named(cid: ConfigId | str, *params: int) -> ConfigSet:
         (r,) = _expect_params(cid, 1)
         if r < 1:
             raise ValueError(f"chain needs r >= 1, got {r}")
+        _check_elements(r)
         rel = [(i, i + 1) for i in range(r - 1)]
         return ConfigSet((ColoredPoset.build(r, rel, list(range(1, r + 1)), f"chain({r})"),))
 
@@ -371,6 +382,7 @@ def poset_from_obj(obj) -> ColoredPoset:
     # to validate, which names it
     if p >= 1 and len(colors) != p:
         raise ValueError(f"poset field 'colors' needs one color per element: expected {p}, got {len(colors)}")
+    _check_elements(p)
     if not isinstance(obj.get("name", ""), str):
         raise ValueError(f"poset field 'name' must be a string, got {obj['name']!r}")
     return ColoredPoset.build(p, pairs, colors, obj.get("name"))

@@ -5,9 +5,9 @@ related elements land on proper sub/supersets and equal colors land on sets
 of equal cardinality.  Induced mode additionally requires that containment
 between image sets only happens along poset relations.
 
-One generator core, ``_embeddings``, does the backtracking over a plain size
-index (set size -> the members of that size).  It assigns colors in
-ascending order (each color commits to one set size, so the equal-size
+One generator core, ``_embeddings``, does the backtracking over size levels
+(set size -> the ``_Level`` of the members of that size).  It assigns colors
+in ascending order (each color commits to one set size, so the equal-size
 constraint becomes a loop over at most n+1 size values) and elements within
 a color together, and yields each embedding as the tuple of image masks.
 Finding one embedding takes the first item; counting exhausts the generator.
@@ -15,19 +15,18 @@ Finding one embedding takes the first item; counting exhausts the generator.
 A candidate domain is a bitset over the positions of its element's size
 level.  A placement ANDs the later domains with the placed mask's
 comparability rows.  A row over a level depends only on that level's
-members, so rows are built lazily and kept per level: once per question
-(one ``is_avoiding`` or ``find_violation``), shared by every poset of its
-ConfigSet, or, for the search's incremental checks, in the searcher until
-it changes that level.  Each row is the AND of a few bit slices, one per
-ground element of the level.  Before an element walks its domain, support
-counts candidates (Hall's condition on classes that share one domain): k
-successors with one size and one domain D, such as the middles of
-diamond(m) or the two tops of a butterfly, keep only the candidates below
-at least k members of D, and when the element has
-t - 1 later twins, whose images all lie in its domain, each successor keeps
-only the positions above at least t members of it.  Every dropped candidate
-is one no embedding uses, so the embeddings still come in the same order:
-the same first violations, counts and search trees.
+members, so the level owns its rows, built lazily.  A question (one
+``is_avoiding`` or ``find_violation``) builds its levels once, shared by
+every poset of its ConfigSet; a changed level is a new ``_Level``.  Each
+row is the AND of a few bit slices, one per ground element of the level.
+Before an element walks its domain, support counts candidates (Hall's
+condition on classes that share one domain): k successors with one size and
+one domain D, such as the middles of diamond(m) or the two tops of a
+butterfly, keep only the candidates below at least k members of D, and when
+the element has t - 1 later twins, whose images all lie in its domain, each
+successor keeps only the positions above at least t members of it.  Every
+dropped candidate is one no embedding uses, so the embeddings still come in
+the same order: the same first violations, counts and search trees.
 
 Twins are elements with the same color, predecessors and successors; swapping
 two of them is a poset automorphism.  The generator yields only the
@@ -42,7 +41,7 @@ never maps an injective embedding to itself.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import islice
+from itertools import islice, permutations
 from math import factorial, prod
 from typing import NamedTuple
 
@@ -131,29 +130,41 @@ def verify_embedding(family, poset: ColoredPoset, mode: str, assignment) -> bool
     if any(not 0 <= i < len(family.members) for i in assignment):
         return False
     masks = [family.members[i] for i in assignment]
-    for a in range(p):
-        for b in range(p):
-            if a == b:
-                continue
-            ma, mb = masks[a], masks[b]
-            if poset.colors[a] == poset.colors[b] and ma.bit_count() != mb.bit_count():
-                return False
-            related = poset.less(a, b)
-            contained = ma != mb and (ma & mb) == ma
-            if related and not contained:
-                return False
-            if mode == "induced" and contained and not related:
-                return False
+    for a, b in permutations(range(p), 2):
+        ma, mb = masks[a], masks[b]
+        if poset.colors[a] == poset.colors[b] and ma.bit_count() != mb.bit_count():
+            return False
+        related = poset.less(a, b)
+        contained = ma != mb and (ma & mb) == ma
+        if related and not contained:
+            return False
+        if mode == "induced" and contained and not related:
+            return False
     return True
 
 
-def _embeddings(by_size, poset: ColoredPoset, mode: str, cache):
-    """Backtracking core: yield every embedding of the poset into the indexed
-    family, each as the tuple of image masks in element order.  ``by_size``
-    maps a set size to the family's members of that size, and ``cache`` is
-    the ``(rows, slices)`` pair of per-level dicts (see ``_Call``).  A
-    poset with more elements than the family has members cannot embed
-    injectively, so it yields nothing before any plan is built.
+class _Level:
+    """The members of one size and the rows over them: ``rows[mask]`` is
+    mask's row and ``slices`` the bit slices, None until ``_row`` needs
+    them.  The members never change, so neither do the rows."""
+
+    __slots__ = ("members", "size", "rows", "slices")
+
+    def __init__(self, members: tuple[Mask, ...], size: int):
+        self.members, self.size, self.rows, self.slices = members, size, {}, None
+
+
+def _levels(family) -> dict[int, _Level]:
+    """One question's levels, size -> ``_Level``."""
+    return {size: _Level(members, size) for size, members in family.by_size.items()}
+
+
+def _embeddings(levels, poset: ColoredPoset, mode: str):
+    """Backtracking core: yield every embedding of the poset into the
+    family of the ``levels`` (size -> ``_Level``), each as the tuple of image
+    masks in element order.  A poset with more elements than the family has
+    members cannot embed injectively, so it yields nothing before any plan
+    is built.
 
     Two stages per size tuple: commit every color to one set size (respecting
     the size order forced by inter-color relations), then assign elements in
@@ -176,34 +187,29 @@ def _embeddings(by_size, poset: ColoredPoset, mode: str, cache):
     the twin is one of the incomparable elements, and filtering its old
     domain instead would undo the restriction.
     """
-    if poset.p > sum(map(len, by_size.values())):
+    if poset.p > sum(len(level.members) for level in levels.values()):
         return
     plan = _plan(poset)
     cap = max(plan.class_size)
-    counts = tuple(sorted((s, min(len(v), cap)) for s, v in by_size.items() if v))
+    counts = tuple(sorted((s, min(len(v.members), cap)) for s, v in levels.items() if v.members))
     sizes = _size_tuples(poset, counts)
-    call = _Call(plan, by_size, mode == "induced", cache)
+    call = _Call(plan, mode == "induced")
     for size in sizes if sizes is not None else _size_gen(poset, counts, ()):
-        call.size, call.level = size, [by_size[s] for s in size]
-        yield from _assign(call, 0, [(1 << len(level)) - 1 for level in call.level])
+        call.level = [levels[s] for s in size]
+        yield from _assign(call, 0, [(1 << len(level.members)) - 1 for level in call.level])
 
 
 class _Call:
     """One call's state.  Only the call's generator frames refer to it and it
     refers to none of them, so reference counting frees it as soon as the
-    generator ends or is dropped.  ``rows`` and ``slices`` cache ``_row``
-    per level: ``rows[size][mask]`` is mask's row over level ``size`` and
-    ``slices[size]`` that level's slices.  They come from the caller and
-    outlive the call: a question's fresh pair is shared by every poset of
-    its ConfigSet, and the searcher's pair lasts until it changes a level,
-    when it drops that level's entries."""
+    generator ends or is dropped.  ``level[e]`` is the ``_Level`` of element
+    e's size; the rows are the levels' own and outlive the call."""
 
-    __slots__ = ("plan", "by_size", "induced", "size", "level", "image", "used", "rows", "slices")
+    __slots__ = ("plan", "induced", "level", "image", "used")
 
-    def __init__(self, plan: _Plan, by_size, induced: bool, cache):
-        self.plan, self.by_size, self.induced = plan, by_size, induced
+    def __init__(self, plan: _Plan, induced: bool):
+        self.plan, self.induced = plan, induced
         self.image, self.used = [0] * len(plan.order), set()
-        self.rows, self.slices = cache
 
 
 def _slices(level) -> list[int]:
@@ -228,8 +234,8 @@ def _slices(level) -> list[int]:
     return slices
 
 
-def _row(call: _Call, mask: Mask, size: int) -> int:
-    """Bitset of the positions in level ``size`` strictly above ``mask`` (a
+def _row(level: _Level, mask: Mask) -> int:
+    """Bitset of the positions in the level strictly above ``mask`` (a
     larger size) or strictly below it (a smaller one); at mask's own size,
     mask's own position, which induced mode excludes.  Rows come from the
     level's bit slices (for each ground element, the positions of the
@@ -238,17 +244,13 @@ def _row(call: _Call, mask: Mask, size: int) -> int:
     element no member holds (one past the slices); below, or at the same
     size, it is the positions in none of the slices of the elements mask
     lacks."""
-    bucket = call.rows.get(size)
-    if bucket is None:
-        bucket = call.rows[size] = {}
-    row = bucket.get(mask)
+    row = level.rows.get(mask)
     if row is None:
-        level = call.by_size[size]
-        slices = call.slices.get(size)
+        slices = level.slices
         if slices is None:
-            slices = call.slices[size] = _slices(level)
-        row = (1 << len(level)) - 1
-        if size > mask.bit_count():
+            slices = level.slices = _slices(level.members)
+        row = (1 << len(level.members)) - 1
+        if level.size > mask.bit_count():
             if mask >> len(slices):
                 row = 0
             bits = mask
@@ -262,24 +264,24 @@ def _row(call: _Call, mask: Mask, size: int) -> int:
                 low = bits & -bits
                 bits ^= low
                 row &= ~slices[low.bit_length() - 1]
-        bucket[mask] = row
+        level.rows[mask] = row
     return row
 
 
-def _cover(call: _Call, domain: int, level, size: int, k: int) -> int:
-    """Bitset of the positions in level ``size`` strictly above or below at
+def _cover(domain: int, level: _Level, target: _Level, k: int) -> int:
+    """Bitset of the positions in ``target`` strictly above or below at
     least k members of ``domain`` (a bitset over ``level``).  ``counts[j]``
     holds the positions related to more than j members so far; adding a
     member's row moves each position up one counter, saturating at k.  A
-    row already in the cache is read there, without a call."""
-    bucket, counts = call.rows.setdefault(size, {}), [0] * k
+    row the target already holds is read there, without a call."""
+    rows, members, counts = target.rows, level.members, [0] * k
     while domain:
         low = domain & -domain
         domain ^= low
-        mask = level[low.bit_length() - 1]
-        row = bucket.get(mask)
+        mask = members[low.bit_length() - 1]
+        row = rows.get(mask)
         if row is None:
-            row = _row(call, mask, size)
+            row = _row(target, mask)
         for j in range(k - 1, 0, -1):
             counts[j] |= counts[j - 1] & row
         counts[0] |= row
@@ -302,31 +304,31 @@ def _assign(call: _Call, pos: int, domains):
     if pos == len(domains):
         yield tuple(call.image)
         return
-    plan, size, used = call.plan, call.size, call.used
+    plan, used = call.plan, call.used
     e = plan.order[pos]
     succs, domain, level = plan.succs[e], domains[e], call.level
     for group in plan.succ_groups[e]:
         f, k = group[0], len(group)
-        if k == 1 or all(domains[g] == domains[f] and size[g] == size[f] for g in group):
+        if k == 1 or all(domains[g] == domains[f] and level[g] is level[f] for g in group):
             group = (f,)
         else:
             k = 1
         for f in group:
             if domains[f].bit_count() < domain.bit_count():
-                domain &= _cover(call, domains[f], level[f], size[e], k)
+                domain &= _cover(domains[f], level[f], level[e], k)
     twins = plan.twins_left[pos]
     if twins > 1:
         for f in succs:
-            domains[f] &= _cover(call, domain, level[e], size[f], twins)
+            domains[f] &= _cover(domain, level[e], level[f], twins)
             if not domains[f]:
                 return
     twin = plan.next_twin[pos]
     incomparable = plan.later_incomparable[pos] if call.induced else ()
-    rest = domain
+    rest, members = domain, level[e].members
     while rest:
         low = rest & -rest
         rest ^= low
-        mask = level[e][low.bit_length() - 1]
+        mask = members[low.bit_length() - 1]
         if mask in used:
             continue
         out = list(domains)
@@ -335,12 +337,12 @@ def _assign(call: _Call, pos: int, domains):
                 return
             out[twin] = rest
         for f in succs:
-            out[f] &= _row(call, mask, size[f])
+            out[f] &= _row(level[f], mask)
             if not out[f]:
                 break
         else:
             for f in incomparable:
-                out[f] &= ~_row(call, mask, size[f])
+                out[f] &= ~_row(level[f], mask)
                 if not out[f]:
                     break
             else:
@@ -376,20 +378,16 @@ def _size_tuples(poset: ColoredPoset, counts) -> tuple[tuple[int, ...], ...] | N
     return sizes if len(sizes) <= SIZE_TUPLE_CACHE else None
 
 
-def _search(by_size, poset: ColoredPoset, mode: str, cache):
+def _search(levels, poset: ColoredPoset, mode: str):
     """The first embedding's image masks, or None."""
-    return next(_embeddings(by_size, poset, mode, cache), None)
+    return next(_embeddings(levels, poset, mode), None)
 
 
-def _hits_with_member(by_size, configs: ConfigSet, mode: str, cache=None) -> bool:
-    """True iff some config embeds into the indexed family.  When that family
-    is an avoiding family plus one new set, every embedding must use the new
-    set, so this is also the incremental check for adding it.  ``cache`` is
-    a ``(rows, slices)`` pair that outlives the call (see ``_Call``); by
-    default the question gets a fresh one."""
-    if cache is None:
-        cache = ({}, {})
-    return any(_search(by_size, poset, mode, cache) is not None for poset in configs)
+def _hits_with_member(levels, configs: ConfigSet, mode: str) -> bool:
+    """True iff some config embeds into the family of the levels.  When that
+    family is an avoiding family plus one new set, every embedding must use
+    the new set, so this is also the incremental check for adding it."""
+    return any(_search(levels, poset, mode) is not None for poset in configs)
 
 
 def find_embedding(family, poset: ColoredPoset, mode: str = "standard") -> tuple[int, ...] | None:
@@ -397,12 +395,12 @@ def find_embedding(family, poset: ColoredPoset, mode: str = "standard") -> tuple
     element -> index into family.members), or None.  The witness is
     re-verified against all invariants before return."""
     _check_mode(mode)
-    return _witness(family, poset, mode, ({}, {}))
+    return _witness(family, poset, mode, _levels(family))
 
 
-def _witness(family, poset: ColoredPoset, mode: str, cache) -> tuple[int, ...] | None:
-    """``find_embedding`` with the question's row cache."""
-    hit = _search(family.by_size, poset, mode, cache)
+def _witness(family, poset: ColoredPoset, mode: str, levels) -> tuple[int, ...] | None:
+    """``find_embedding`` over the question's levels."""
+    hit = _search(levels, poset, mode)
     if hit is None:
         return None
     assignment = tuple(map(family.members.index, hit))
@@ -421,23 +419,23 @@ def count_embeddings(family, poset: ColoredPoset, mode: str = "standard") -> int
         raise ValueError(f"count_embeddings allows at most {COUNT_FAMILY_GUARD} members")
     if poset.p > COUNT_POSET_GUARD:
         raise ValueError(f"count_embeddings allows at most {COUNT_POSET_GUARD} poset elements")
-    embeddings = _embeddings(family.by_size, poset, mode, ({}, {}))
+    embeddings = _embeddings(_levels(family), poset, mode)
     return sum(1 for _ in embeddings) * _plan(poset).twin_factor
 
 
 def is_avoiding(family, configs: ConfigSet, mode: str = "standard") -> bool:
     """True iff no member poset of the ConfigSet embeds into the family."""
     _check_mode(mode)
-    return not _hits_with_member(family.by_size, configs, mode)
+    return not _hits_with_member(_levels(family), configs, mode)
 
 
 def find_violation(family, configs: ConfigSet, mode: str = "standard"):
     """(poset index, assignment) for the first embeddable member, or None;
     the assignment is as ``find_embedding`` returns it."""
     _check_mode(mode)
-    cache = ({}, {})
+    levels = _levels(family)
     for i, poset in enumerate(configs):
-        assignment = _witness(family, poset, mode, cache)
+        assignment = _witness(family, poset, mode, levels)
         if assignment is not None:
             return i, assignment
     return None

@@ -42,14 +42,7 @@ def mask_of(elems, n: int) -> Mask:
 
 def elems_of(mask: Mask) -> tuple[int, ...]:
     """Sorted elements of a bitmask."""
-    out = []
-    e = 1
-    while mask:
-        if mask & 1:
-            out.append(e)
-        mask >>= 1
-        e += 1
-    return tuple(out)
+    return tuple(e + 1 for e in range(mask.bit_length()) if mask >> e & 1)
 
 
 def set_text(elems) -> str:
@@ -236,10 +229,6 @@ def sigma(n: int, k: int) -> int:
     return sum(binomial(n, i) for i in range(lo, hi + 1))
 
 
-def _sigma_or_zero(n: int, k: int) -> int:
-    return 0 if k == 0 else sigma(n, k)
-
-
 def q_value(k: int) -> Fraction:
     """q(k) = sum of 1/C(k, i) for 1 <= i <= k-1, exactly (see q_values_upto)."""
     if k < 2:
@@ -284,7 +273,7 @@ def lub_bound(n: int, x: int, y) -> Fraction:
         raise ValueError("lub_bound requires n >= 1, x >= 0, y >= 0")
     if x > n + 1:
         raise ValueError(f"x must be at most n+1, got x={x}, n={n}")
-    return _sigma_or_zero(n, x) + y * binomial(n, (n + x + 1) // 2)
+    return (sigma(n, x) if x else 0) + y * binomial(n, (n + x + 1) // 2)
 
 
 def chains_through(sizes, n: int) -> int:

@@ -25,10 +25,10 @@ of equal size, so three flags over the ConfigSet's element pairs decide it
 (``_pair_roles``), and where they say no, d stays viable unasked.  The root
 and ``greedy_lower_bound`` ask about every set.
 
-The searcher owns the detector's row cache: a row over a size level
-depends only on that level's members, so ``push`` and ``pop`` drop the
-rows and slices of the one level they change, and the rows over the other
-levels serve every sibling check and every child.
+The searcher keeps the family as one detector ``_Level`` per size, and a
+level owns the rows over its members.  ``push`` replaces the level it
+changes by a new one and ``pop`` puts the old one back, rows included, so
+the rows over the other levels serve every sibling check and every child.
 
 Symmetry is only the choice of orbit key.  An embedding depends only on
 containment and cardinality, which every permutation of [n] preserves, so
@@ -55,7 +55,7 @@ from math import floor
 
 from .bounds import EXACT, BoundResult
 from .configs import ConfigSet
-from .detector import _check_mode, _hits_with_member, is_avoiding
+from .detector import _check_mode, _hits_with_member, _Level, is_avoiding
 from .lattice import Family, Mask, ground_mask
 
 PROVEN_OPTIMAL = "proven-optimal"
@@ -148,8 +148,8 @@ class _Searcher:
     def __init__(self, problem: SearchProblem):
         self.problem = problem
         self.members: list[Mask] = []
-        self.by_size: dict[int, list[Mask]] = {s: [] for s in range(problem.n + 1)}
-        self.cache: tuple[dict, dict] = ({}, {})
+        self.levels = {s: _Level((), s) for s in range(problem.n + 1)}
+        self.saved: list[_Level] = []
         self.roles = _pair_roles(problem.configs, problem.mode)
         self.best_members: tuple[Mask, ...] = ()
         self.best_size = 0
@@ -163,23 +163,15 @@ class _Searcher:
     def push(self, mask: Mask) -> None:
         size = mask.bit_count()
         self.members.append(mask)
-        self.by_size[size].append(mask)
-        self.forget(size)
+        self.saved.append(self.levels[size])
+        self.levels[size] = _Level((*self.saved[-1].members, mask), size)
 
     def pop(self) -> None:
-        size = self.members.pop().bit_count()
-        self.by_size[size].pop()
-        self.forget(size)
-
-    def forget(self, size: int) -> None:
-        """Drop the detector rows and slices over level ``size``, which just
-        changed; those over the other levels stay valid."""
-        for table in self.cache:
-            table.pop(size, None)
+        self.levels[self.members.pop().bit_count()] = self.saved.pop()
 
     def addable(self, mask: Mask) -> bool:
         self.push(mask)
-        hit = _hits_with_member(self.by_size, self.problem.configs, self.problem.mode, self.cache)
+        hit = _hits_with_member(self.levels, self.problem.configs, self.problem.mode)
         self.pop()
         return not hit
 

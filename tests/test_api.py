@@ -50,3 +50,26 @@ def test_no_test_only_code_in_package():
         and not any(name in _references(other, node) for other in trees.values())
     )
     assert unused == []
+
+
+def test_private_imports_between_modules_are_pinned():
+    # a private name that one package module imports from another couples
+    # their internals; each is listed here, so a new one is a deliberate edit
+    imported = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            module = node.module or ""
+            if node.level or module.startswith(f"{PACKAGE.name}."):
+                source = module.rpartition(".")[2]
+                imported |= {
+                    f"{path.stem} <- {source}.{alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_") and not alias.name.startswith("__")
+                }
+    assert imported == {
+        "search <- detector._Level",
+        "search <- detector._check_mode",
+        "search <- detector._hits_with_member",
+    }

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -92,6 +93,42 @@ def test_bound_table_golden(bound_id):
         assert (res.value, res.exactness, res.validity, res.source) == (
             Fraction(value), exactness, validity, source
         )
+
+
+# each id's stated requirement, written out apart from the bound table
+STATED = {
+    "baton_main": lambda n, h, s, t: h >= 3 and s >= 1 and t >= 1,
+    "butterfly": lambda n: n >= 13,
+    "dbk_fork_main": lambda n, s: s >= 2,
+    "diamond_m4": lambda n: n >= 3,
+    "diamond_restricted": lambda n, m: m >= 2,
+    "dks_butterfly": lambda n: True,
+    "fork_explicit": lambda n, s: s >= 2,
+    "fork_main": lambda n, s: s >= 2,
+    "glu_baton_main": lambda n, h, s, t: h >= 3 and s >= 1 and t >= 1,
+    "glu_diamond": lambda n, m: n >= 2 and m >= 2,
+    "j": lambda n: True,
+    "kt": lambda n: n >= 3,
+    "li_j": lambda n: True,
+}
+
+
+def test_stated_covers_every_bound_id():
+    assert set(BOUND_IDS) == set(STATED)
+
+
+@pytest.mark.parametrize("bound_id", sorted(STATED))
+def test_out_of_range_parameters_evaluate(bound_id):
+    # the module docstring's promise: every parameter out of its stated
+    # range still evaluates, and validity names the range
+    names = bound_params(bound_id)
+    for n in range(1, 9):
+        for rest in itertools.product(range(-2, 7), repeat=len(names) - 1):
+            args = (n, *rest)
+            res = evaluate_bound(bound_id, **dict(zip(names, args)))
+            assert (res.validity == "ok") == STATED[bound_id](*args), (args, res.validity)
+            if res.validity != "ok":
+                assert res.validity.startswith("outside stated range: requires "), args
 
 
 class TestEvaluateBound:

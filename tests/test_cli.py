@@ -245,6 +245,20 @@ class TestCheckCommand:
         assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["check", "search"])
+def test_poset_guard_exits_at_once(capsys, tmp_path, command):
+    # diamond(10^6) needs about 125 GB of rows; the guard refuses it from
+    # its parameter
+    source = ["--n", "3"]
+    if command == "check":
+        source = ["--family", write_family(tmp_path, kt_construction(4))]
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, command, *source, "--config", "diamond(1000000)")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err == "error: posets are limited to 4096 elements, got 1000002\n"
+
+
 class TestSearchCommand:
     def test_small_search(self, capsys):
         code, out, _ = run_cli(capsys, "search", "--n", "3", "--config", "kt_pair")
@@ -282,6 +296,14 @@ class TestSearchCommand:
         )
         assert code == 1 and out == ""
         assert err.startswith("error:") and "requires n >= 3" in err
+
+    def test_theorem_bound_past_its_sigma_domain_error(self, capsys):
+        # diamond_m4 is sigma(n, 4), which takes k <= n + 1 = 3 at n = 2
+        code, out, err = run_cli(
+            capsys, "search", "--n", "2", "--config", "diamond(4)", "--theorem-bound", "diamond_m4"
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: theorem bound cannot gate the search: outside stated range: requires n >= 3\n"
 
     def test_inexact_theorem_bound_usage_error(self, capsys):
         code, _, _ = run_cli(

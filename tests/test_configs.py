@@ -16,7 +16,7 @@ from forbidposet import (
     serialize_config,
     validate,
 )
-from forbidposet.configs import ConfigId, Violation
+from forbidposet.configs import POSET_GUARD, ConfigId, Violation
 
 from conftest import colored_posets
 
@@ -286,6 +286,42 @@ class TestLongChain:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20, peak
+
+    def test_chain_2000_loads(self):
+        assert build_named("chain", 2000).configs[0].rows[0] == (1 << 2000) - 2
+
+
+class TestPosetGuard:
+    @pytest.mark.parametrize(
+        "name, params, p",
+        [
+            ("diamond", (10**6,), 10**6 + 2),
+            ("chain", (POSET_GUARD + 1,), POSET_GUARD + 1),
+            ("fork", (POSET_GUARD,), POSET_GUARD + 1),
+            ("baton", (3, POSET_GUARD, 1), POSET_GUARD + 2),
+        ],
+    )
+    def test_named_checked_from_parameters(self, monkeypatch, name, params, p):
+        def no_closure(p, pairs):
+            raise AssertionError("closure computed past the guard")
+
+        monkeypatch.setattr("forbidposet.configs._closure_rows", no_closure)
+        with pytest.raises(ValueError) as info:
+            build_named(name, *params)
+        assert str(info.value) == f"posets are limited to {POSET_GUARD} elements, got {p}"
+
+    def test_at_the_guard_loads(self):
+        assert build_named("chain", POSET_GUARD).configs[0].p == POSET_GUARD
+
+    def test_json_checked_before_closure(self, monkeypatch):
+        def no_closure(p, pairs):
+            raise AssertionError("closure computed past the guard")
+
+        monkeypatch.setattr("forbidposet.configs._closure_rows", no_closure)
+        p = POSET_GUARD + 1
+        with pytest.raises(ValueError) as info:
+            parse_config(f'{{"elements": {p}, "relations": [], "colors": {[1] * p}}}')
+        assert str(info.value) == f"config #0: posets are limited to {POSET_GUARD} elements, got {p}"
 
 
 class TestConfigIds:

@@ -556,9 +556,9 @@ class TestRowCache:
     @example((0, [0], [0, 0b1]))  # the empty set's level, with no slices
     def test_row_matches_a_scan_of_the_level(self, case):
         size, level, masks = case
-        call = detector._Call(_plan(KT_UP), {size: tuple(level)}, False, ({}, {}))
+        built = detector._Level(tuple(level), size)
         for mask in masks:
-            assert detector._row(call, mask, size) == scanned_row(level, mask, size), (level, mask)
+            assert detector._row(built, mask) == scanned_row(level, mask, size), (level, mask)
 
     @pytest.mark.parametrize("question", ["find_violation", "is_avoiding"])
     def test_posets_of_one_question_share_rows(self, monkeypatch, question):
@@ -568,12 +568,12 @@ class TestRowCache:
         computed, built = [], []
         row = detector._row
 
-        def counted(call, mask, size):
-            if mask not in call.rows.get(size, ()):
-                computed.append((mask, size))
-                if size not in call.slices:
-                    built.append(size)
-            return row(call, mask, size)
+        def counted(level, mask):
+            if mask not in level.rows:
+                computed.append((mask, level.size))
+                if level.slices is None:
+                    built.append(level.size)
+            return row(level, mask)
 
         monkeypatch.setattr(detector, "_row", counted)
         family, butterfly = middle_levels(12, 2), build_named("butterfly_pair")

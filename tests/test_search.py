@@ -21,8 +21,7 @@ from forbidposet import (
     sigma,
     verify_witness,
 )
-from forbidposet import search
-from forbidposet.detector import _hits_with_member
+from forbidposet import detector, search
 from forbidposet.search import (
     LOWER_BOUND_ONLY,
     OPTIMAL_ASSUMING_THEOREM,
@@ -455,27 +454,69 @@ class TestSearchRowCache:
     def test_rows_stay_fresh_across_push_and_pop(self, walk):
         problem, steps = walk
         searcher = _Searcher(problem)
-        rows, slices = searcher.cache
         for kind, mask in steps:
             if kind == "push":
                 searcher.push(mask)
             elif kind == "pop":
                 searcher.pop()
             else:
-                by_size = {s: list(level) for s, level in searcher.by_size.items()}
-                by_size[mask.bit_count()].append(mask)
-                fresh = _hits_with_member(by_size, problem.configs, problem.mode)
-                assert searcher.addable(mask) is not fresh
-                for size, bucket in rows.items():
-                    level = searcher.by_size[size]
-                    for source, row in bucket.items():
-                        assert row == scanned_row(level, source, size), (size, source)
-                for size, cached in slices.items():
-                    level = searcher.by_size[size]
-                    assert cached == [
-                        sum((member >> e & 1) << j for j, member in enumerate(level))
-                        for e in range(max(level).bit_length())
-                    ], size
+                family = Family(problem.n, [*searcher.members, mask])
+                fresh = is_avoiding(family, problem.configs, problem.mode)
+                assert searcher.addable(mask) is fresh
+                # each level holds its size's members in the order pushed,
+                # and every row and slice a level holds, the saved ones
+                # included, matches a scan of its members
+                assert {s: level.members for s, level in searcher.levels.items()} == {
+                    s: tuple(m for m in searcher.members if m.bit_count() == s)
+                    for s in range(problem.n + 1)
+                }
+                for level in (*searcher.levels.values(), *searcher.saved):
+                    members, size = level.members, level.size
+                    for source, row in level.rows.items():
+                        assert row == scanned_row(members, source, size), (size, source)
+                    if level.slices is not None:
+                        assert level.slices == [
+                            sum((member >> e & 1) << j for j, member in enumerate(members))
+                            for e in range(max(members).bit_length())
+                        ], size
+
+    def test_pop_restores_the_identical_level(self):
+        searcher = _Searcher(SearchProblem(3, build_named("kt_pair")))
+        searcher.push(0b011)
+        searcher.push(0b101)
+        level = searcher.levels[2]
+        assert not searcher.addable(0b001)  # {1} lies below {1,2} and {1,3}
+        rows = dict(level.rows)
+        assert rows
+        searcher.push(0b110)
+        assert searcher.levels[2] is not level
+        assert searcher.levels[2].members == (0b011, 0b101, 0b110)
+        searcher.pop()
+        assert searcher.levels[2] is level
+        assert level.rows == rows
+
+    @pytest.mark.parametrize(
+        "config, n, builds",
+        [
+            ("kt_pair", 5, 2693),  # 3,214 when push and pop dropped a level's rows
+            ("diamond(4)", 5, 327),  # 386
+            ("butterfly_pair", 4, 948),  # 1,061
+            ("j_config", 4, 439),  # 474
+        ],
+    )
+    def test_slices_builds_pinned(self, monkeypatch, config, n, builds):
+        # a level builds its slices at most once, and the level a pop puts
+        # back still has them; the witness check is counted too
+        counted = []
+        slices = detector._slices
+
+        def counting(members):
+            counted.append(None)
+            return slices(members)
+
+        monkeypatch.setattr(detector, "_slices", counting)
+        exact_max_family(SearchProblem(n, build_named(parse_config_id(config))))
+        assert len(counted) == builds
 
 
 class TestVerifyWitness:
