@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .configs import ColoredPoset, ConfigSet, build_named
 from .detector import is_avoiding
-from .lattice import Family, Mask, binomial, chains_through, lubell, q_value, tail_k
+from .lattice import Family, Mask, binomial, lubell, q_value, tail_k
 
 ALPHA_GUARD = 8
 S_AUDIT_GUARD = 8
@@ -329,57 +329,35 @@ def _size_distance_key(size: int, m: int) -> int:
     return abs(3 * (size - m) - 1)
 
 
-def _interfering_sets(family: Family, f: Mask, m: int, n: int) -> list[Mask]:
-    """Members whose size is strictly closer to m + 1/3 and which can share a
-    chain with f (hence are comparable with f)."""
-    s = f.bit_count()
-    if s == m:
-        return []
-    if s > m:
-        lo, hi = n - s + 1, s - 1
-        return [g for g in family.members if (g & f) == g and g != f and lo <= g.bit_count() <= hi]
-    lo, hi = s + 1, n - s
-    return [g for g in family.members if (g & f) == f and g != f and lo <= g.bit_count() <= hi]
-
-
-def _chains_through_avoiding(f: Mask, interfering: list[Mask], n: int) -> int:
-    """Chains through f that miss every interfering set, by inclusion-
-    exclusion over the nested towers inside the interfering collection."""
-    items = sorted(interfering, key=lambda g: g.bit_count())
-    total = 0
-    for subset in range(1 << len(items)):
-        tower = [items[i] for i in range(len(items)) if subset >> i & 1]
-        nested = all(
-            (tower[i] & tower[i + 1]) == tower[i] for i in range(len(tower) - 1)
-        )
-        if not nested:
-            continue
-        sizes = sorted(g.bit_count() for g in tower + [f])
-        total += (-1) ** len(tower) * chains_through(sizes, n)
-    return total
+def _chains_missing(lo: Mask, hi: Mask, avoid) -> int:
+    """Number of maximal chains of the interval [lo, hi] (lo a subset of hi)
+    with no set in ``avoid``.  ``ways[x]`` counts those from lo up to lo | x:
+    the sum over the sets one element below, each of which adds to lo a
+    smaller number than x, so one pass over the x in increasing order fills
+    the table."""
+    free = hi ^ lo
+    ways = [0] * (free + 1)
+    x = 0
+    while True:
+        if lo | x not in avoid:
+            acc = 0 if x else 1
+            rem = x
+            while rem:
+                b = rem & -rem
+                rem ^= b
+                acc += ways[x ^ b]
+            ways[x] = acc
+        if x == free:
+            return ways[free]
+        x = (x - free) & free  # the next subset of free
 
 
 def chains_avoiding_family(family: Family) -> int:
     """Number of maximal chains containing no family member, by dynamic
     programming up the lattice (independent of the ownership counts)."""
-    n = family.n
-    if n > 20:
+    if family.n > 20:
         raise ValueError("chain-avoidance DP is limited to n <= 20")
-    full = family.full_mask
-    members = family.member_set
-    ways = [0] * (full + 1)
-    ways[0] = 0 if 0 in members else 1
-    for mask in sorted(range(1, full + 1), key=lambda m: m.bit_count()):
-        if mask in members:
-            continue
-        acc = 0
-        rem = mask
-        while rem:
-            b = rem & -rem
-            rem ^= b
-            acc += ways[mask ^ b]
-        ways[mask] = acc
-    return ways[full]
+    return _chains_missing(0, family.full_mask, family.member_set)
 
 
 def alpha_audit(family: Family) -> AlphaReport:
@@ -387,9 +365,12 @@ def alpha_audit(family: Family) -> AlphaReport:
     closest to m + 1/3 on it, and report each member's exact chain count
     against the threshold (m!)^2.
 
-    Counts use tower inclusion-exclusion (chains-through arithmetic), not
-    chain enumeration.  Members of size m-1 falling short are reported as
-    exceptions; the repair that tops them up is out of scope here.
+    A chain belongs to f exactly when it passes through f and through no
+    member of a closer size, so f's count is the number of chains of [0, f]
+    times that of [f, [n]] that miss the closer members, each by a subset
+    DP, not by chain enumeration.  Members of size m-1 falling short are
+    reported as exceptions; the repair that tops them up is out of scope
+    here.
     """
     n = family.n
     if n % 2 != 0:
@@ -407,7 +388,8 @@ def alpha_audit(family: Family) -> AlphaReport:
     threshold = math.factorial(m) ** 2
     counts: dict[Mask, int] = {}
     for f in family.members:
-        counts[f] = _chains_through_avoiding(f, _interfering_sets(family, f, m, n), n)
+        closer = {g for g in family.members if keys[g.bit_count()] < keys[f.bit_count()]}
+        counts[f] = _chains_missing(0, f, closer) * _chains_missing(f, family.full_mask, closer)
     unassigned = chains_avoiding_family(family)
     if sum(counts.values()) + unassigned != math.factorial(n):
         raise RuntimeError("ownership counts and untouched chains must partition all n! chains")

@@ -200,34 +200,26 @@ def constant_for_colored_poset(poset: ColoredPoset) -> Fraction:
     return general_constant(poset.color_class_sizes())
 
 
-def _color_class_sizes(rows, p: int):
-    """Color class sizes (a_1, ..., a_k) of every order-preserving surjective
-    coloring of a p-element strict poset, one tuple per coloring: color c
-    takes a nonempty set of the uncolored elements whose predecessors are
-    all colored already, i.e. have colors below c."""
-    below = [sum(1 << a for a in range(p) if rows[a] >> e & 1) for e in range(p)]
-    full = (1 << p) - 1
+def constant_for_poset_any_coloring(poset: ColoredPoset) -> Fraction:
+    """Max of the general constant over every order-preserving coloring of
+    the underlying poset, so the bound is coloring-independent.
 
-    def extend(done: int, sizes: tuple[int, ...]):
-        if done == full:
-            yield sizes
-            return
+    The constant is the sum of cprime over the color classes, and each
+    color takes a nonempty part of the uncolored elements whose
+    predecessors are all colored, so ``best[done]``, over the set of
+    elements colored so far, is the largest cprime(|part|) + best[done |
+    part], a larger index.  Sets no coloring reaches are filled but never
+    read from best[0].  Guarded at 8 elements."""
+    require_valid(poset)
+    p, rows = poset.p, poset.rows
+    if p > 8:
+        raise ValueError("coloring enumeration is limited to posets with <= 8 elements")
+    below = [sum(1 << a for a in range(p) if rows[a] >> e & 1) for e in range(p)]
+    best = [Fraction(0)] * (1 << p)
+    for done in range((1 << p) - 2, -1, -1):
         free = sum(1 << e for e in range(p) if not done >> e & 1 and not below[e] & ~done)
         part = free
         while part:
-            yield from extend(done | part, sizes + (part.bit_count(),))
+            best[done] = max(best[done], cprime(part.bit_count()) + best[done | part])
             part = (part - 1) & free
-
-    return extend(0, ())
-
-
-def constant_for_poset_any_coloring(poset: ColoredPoset) -> Fraction:
-    """Max of the general constant over every order-preserving coloring of
-    the underlying poset, so the bound is coloring-independent.  Each
-    coloring is visited once, as its tuple of color class sizes, and each
-    distinct tuple is evaluated once; the enumeration is guarded at 8
-    elements."""
-    require_valid(poset)
-    if poset.p > 8:
-        raise ValueError("coloring enumeration is limited to posets with <= 8 elements")
-    return max(map(general_constant, set(_color_class_sizes(poset.rows, poset.p))))
+    return best[0]

@@ -58,8 +58,6 @@ _MODES = ("standard", "induced")
 
 class _Plan(NamedTuple):
     order: tuple[int, ...]
-    class_size: tuple[int, ...]
-    lower_colors: tuple[frozenset[int], ...]
     succs: tuple[tuple[int, ...], ...]
     succ_groups: tuple[tuple[tuple[int, ...], ...], ...]
     later_incomparable: tuple[tuple[int, ...], ...]
@@ -68,28 +66,44 @@ class _Plan(NamedTuple):
     twin_factor: int
 
 
-@lru_cache(maxsize=None)
+class _Sizing:
+    """A poset's size stage, by color 1..k: the class sizes and the largest
+    (``cap``), and bitsets of each color's elements and of the elements
+    above them; color c must exceed the size of each color reaching above
+    into c.  Built in one pass over the rows, it turns away a poset with no
+    size choice before ``_plan``, quadratic in the poset's size, which
+    ``plan`` then holds once a call needs it."""
+
+    __slots__ = ("class_size", "cap", "of_color", "above", "plan")
+
+    def __init__(self, poset: ColoredPoset):
+        k = poset.num_colors
+        self.of_color, self.above = [0] * (k + 1), [0] * (k + 1)
+        for e, (c, row) in enumerate(zip(poset.colors, poset.rows)):
+            self.of_color[c] |= 1 << e
+            self.above[c] |= row
+        self.class_size = (0, *poset.color_class_sizes())
+        self.cap = max(self.class_size)
+        self.plan: _Plan | None = None
+
+
+_sizing = lru_cache(maxsize=None)(_Sizing)
+
+
 def _plan(poset: ColoredPoset) -> _Plan:
     """Per-poset backtracking plan: the element assignment order (colors
-    ascending, classes together), each color's class size and the colors
-    whose sizes it must exceed, successor lists for domain propagation, each
-    element's successors grouped by their predecessor sets (the groups
+    ascending, classes together), successor lists for domain propagation,
+    each element's successors grouped by their predecessor sets (the groups
     support counts), for each position the later elements incomparable to
     its element, the next later twin (-1 if none) and the number of twins
     from it on, and the product of k! over twin classes.
 
     A valid coloring is order-preserving, so every successor of an element
     comes later in the order and propagation need not test positions."""
-    k = poset.num_colors
     colors = poset.colors
     rows, preds = poset.rows, poset.dual().rows
     order = tuple(sorted(range(poset.p), key=colors.__getitem__))
-    class_size = (0, *poset.color_class_sizes())
     succs = tuple(tuple(b for b in range(poset.p) if row >> b & 1) for row in rows)
-    lower_colors: list[set[int]] = [set() for _ in range(k + 1)]
-    for a, above in enumerate(succs):
-        for b in above:
-            lower_colors[colors[b]].add(colors[a])
     succ_groups = []
     for e in range(poset.p):
         groups: dict[int, list[int]] = {}
@@ -108,10 +122,8 @@ def _plan(poset: ColoredPoset) -> _Plan:
     next_twin = tuple(later_twin.get(e, -1) for e in order)
     twins_left = tuple(left[e] for e in order)
     twin_factor = prod(factorial(len(cls)) for cls in twins.values())
-    lower = tuple(map(frozenset, lower_colors))
     return _Plan(
-        order, class_size, lower, succs, tuple(succ_groups), later_incomparable, next_twin,
-        twins_left, twin_factor,
+        order, succs, tuple(succ_groups), later_incomparable, next_twin, twins_left, twin_factor
     )
 
 
@@ -164,7 +176,7 @@ def _embeddings(levels, poset: ColoredPoset, mode: str):
     family of the ``levels`` (size -> ``_Level``), each as the tuple of image
     masks in element order.  A poset with more elements than the family has
     members cannot embed injectively, so it yields nothing before any plan
-    is built.
+    is built, and one with no size choice yields nothing before ``_plan``.
 
     Two stages per size tuple: commit every color to one set size (respecting
     the size order forced by inter-color relations), then assign elements in
@@ -189,11 +201,15 @@ def _embeddings(levels, poset: ColoredPoset, mode: str):
     """
     if poset.p > sum(len(level.members) for level in levels.values()):
         return
-    plan = _plan(poset)
-    cap = max(plan.class_size)
+    sizing = _sizing(poset)
+    cap = sizing.cap
     counts = tuple(sorted((s, min(len(v.members), cap)) for s, v in levels.items() if v.members))
     sizes = _size_tuples(poset, counts)
-    call = _Call(plan, mode == "induced")
+    if sizes == ():
+        return
+    if sizing.plan is None:
+        sizing.plan = _plan(poset)
+    call = _Call(sizing.plan, mode == "induced")
     for size in sizes if sizes is not None else _size_gen(poset, counts, ()):
         call.level = [levels[s] for s in size]
         yield from _assign(call, 0, [(1 << len(level.members)) - 1 for level in call.level])
@@ -356,14 +372,15 @@ def _size_gen(poset: ColoredPoset, counts, chosen: tuple[int, ...]):
     """Every choice of one set size per color, in lexicographic order and
     given as the size of each element: color c takes a size with at least
     class_size[c] members, above the sizes of the colors it must exceed."""
-    plan = _plan(poset)
+    sizing = _sizing(poset)
     c = len(chosen) + 1
-    if c == len(plan.class_size):
+    if c == len(sizing.class_size):
         yield tuple(chosen[color - 1] for color in poset.colors)
         return
-    floor = max((chosen[c2 - 1] for c2 in plan.lower_colors[c]), default=-1)
+    mine = sizing.of_color[c]
+    floor = max((s for s, up in zip(chosen, sizing.above[1:]) if up & mine), default=-1)
     for size, count in counts:
-        if size > floor and count >= plan.class_size[c]:
+        if size > floor and count >= sizing.class_size[c]:
             yield from _size_gen(poset, counts, (*chosen, size))
 
 

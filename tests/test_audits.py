@@ -441,6 +441,27 @@ class TestAlphaAudit:
             assert unassigned == report.unassigned
             checked += 1
 
+    def test_matches_enumeration_at_n8_with_contested_chains(self):
+        # members off the middle level that share chains with closer members,
+        # so the counts depend on the ownership rule (kt(8) has no such pair)
+        rng = random.Random(23)
+        kt = build_named("kt_pair")
+        checked = 0
+        while checked < 4:
+            fam = Family(8, rng.sample(range(1, 255), rng.randint(2, 30)))
+            contested = any(
+                f != g and f & g == f and f.bit_count() != 4
+                for f in fam.members
+                for g in fam.members
+            )
+            if not contested or not is_avoiding(fam, kt):
+                continue
+            report = alpha_audit(fam)
+            counts, unassigned = alpha_counts_by_enumeration(fam)
+            assert counts == report.counts, fam.sets()
+            assert unassigned == report.unassigned
+            checked += 1
+
     def test_exception_listing(self):
         # {1} of size m-1 = 1 sits under the size-m and size-(m+1) members,
         # losing too many chains: it must be reported, not asserted away

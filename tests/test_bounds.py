@@ -17,7 +17,7 @@ from forbidposet import (
     sigma,
 )
 from forbidposet import bounds
-from forbidposet.bounds import EXACT, MAIN_TERM_ONLY, _color_class_sizes, bound_params, cprime
+from forbidposet.bounds import EXACT, MAIN_TERM_ONLY, bound_params, cprime
 
 from conftest import order_preserving_colorings
 
@@ -274,29 +274,30 @@ class TestColorClassSizes:
         rng = random.Random(2017)
         for _ in range(300):
             poset = random_valid_poset(rng)
-            expected = sorted(
+            expected = {
                 tuple(coloring.count(c) for c in range(1, max(coloring) + 1))
                 for coloring in order_preserving_colorings(poset.rows, poset.p)
-            )
-            assert sorted(_color_class_sizes(poset.rows, poset.p)) == expected, poset
+            }
             assert constant_for_poset_any_coloring(poset) == max(map(general_constant, expected))
 
-    def test_any_coloring_evaluates_each_size_tuple_once(self, monkeypatch):
-        # the 4,683 colorings of a 6-element antichain have only 2^5 = 32
-        # distinct class-size tuples (the compositions of 6)
+    def test_any_coloring_calls_cprime_at_most_3_to_the_p(self, monkeypatch):
+        # one call per (colored set, next class) pair: the 545,835 colorings
+        # of an 8-element antichain would each take several
         calls = []
 
-        def counted(a):
-            calls.append(a)
-            return general_constant(a)
+        def counted(m):
+            calls.append(m)
+            return cprime(m)
 
-        monkeypatch.setattr(bounds, "general_constant", counted)
-        antichain = ColoredPoset.build(6, [], [1] * 6)
-        assert constant_for_poset_any_coloring(antichain) == 12  # six classes of one
-        assert len(calls) <= 32
+        monkeypatch.setattr(bounds, "cprime", counted)
+        for p in (6, 8):
+            calls.clear()
+            antichain = ColoredPoset.build(p, [], [1] * p)
+            assert constant_for_poset_any_coloring(antichain) == 2 * p  # p classes of one
+            assert 0 < len(calls) <= 3**p
 
     def test_antichains_give_fubini_numbers(self):
         # colorings of p unrelated elements are the ordered set partitions,
-        # so any coloring visited twice overshoots the Fubini number
+        # so the reference walk must list each exactly once
         for p, fubini in zip(range(1, 7), (1, 3, 13, 75, 541, 4683)):
-            assert sum(1 for _ in _color_class_sizes((0,) * p, p)) == fubini
+            assert len(order_preserving_colorings((0,) * p, p)) == fubini

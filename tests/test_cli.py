@@ -245,6 +245,32 @@ class TestCheckCommand:
         assert err.startswith("error:")
 
 
+    @pytest.mark.parametrize("config", ["diamond(4094)", "fork(4095)", "chain(4096)"])
+    def test_large_poset_with_no_size_choice_builds_no_plan(
+        self, capsys, tmp_path, monkeypatch, config
+    ):
+        # middle_levels(13, 3) has 4,719 sets in three levels, so each poset
+        # fits by count, but no level holds its largest color class (diamond,
+        # fork) or there are too few levels for its colors (chain); the plan,
+        # quadratic in the poset's size, is never needed
+        def no_plan(poset):
+            raise AssertionError("no plan is needed when no size choice exists")
+
+        monkeypatch.setattr("forbidposet.detector._plan", no_plan)
+        path = write_family(tmp_path, middle_levels(13, 3))
+        code, out, _ = run_cli(capsys, "check", "--family", path, "--config", config)
+        assert code == 0 and json.loads(out)["avoiding"] is True
+
+    def test_memory_error_is_domain_error(self, capsys, tmp_path, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr("forbidposet.cli.find_violation", exhausted)
+        path = write_family(tmp_path, kt_construction(4))
+        code, out, err = run_cli(capsys, "check", "--family", path, "--config", "kt_pair")
+        assert (code, out, err) == (1, "", "error: out of memory\n")
+
+
 @pytest.mark.parametrize("command", ["check", "search"])
 def test_poset_guard_exits_at_once(capsys, tmp_path, command):
     # diamond(10^6) needs about 125 GB of rows; the guard refuses it from
