@@ -18,6 +18,8 @@ import json
 import re
 from dataclasses import dataclass
 
+from .lattice import set_bits, transpose
+
 POSET_GUARD = 4096  # elements; a poset's rows then take at most 2 MB
 
 
@@ -92,15 +94,7 @@ class ColoredPoset:
     @property
     def relation(self) -> frozenset[tuple[int, int]]:
         """The pairs (a, b) with bit b set in row a, as JSON writes them."""
-        return frozenset(
-            [
-                (a, b)
-                for a, row in enumerate(self.rows)
-                if row
-                for b, bit in enumerate(bin(row)[:1:-1])
-                if bit == "1"
-            ]
-        )
+        return frozenset([(a, b) for a, row in enumerate(self.rows) for b in set_bits(row)])
 
     def less(self, a: int, b: int) -> bool:
         return bool(self.rows[a] >> b & 1)
@@ -120,11 +114,10 @@ class ColoredPoset:
     def dual(self) -> "ColoredPoset":
         """Order-dual: rows transposed, colors mirrored to stay
         order-preserving."""
-        k, p, rows = self.num_colors, self.p, self.rows
-        transposed = tuple(sum(1 << a for a in range(p) if rows[a] >> b & 1) for b in range(p))
+        k = self.num_colors
         colors = tuple(k + 1 - c for c in self.colors)
         name = f"dual({self.name})" if self.name else None
-        return ColoredPoset(p, transposed, colors, name)
+        return ColoredPoset(self.p, tuple(transpose(self.rows, self.p)), colors, name)
 
 
 def _closed(rows: tuple[int, ...]) -> bool:

@@ -13,12 +13,13 @@ a color together, and yields each embedding as the tuple of image masks.
 Finding one embedding takes the first item; counting exhausts the generator.
 
 A candidate domain is a bitset over the positions of its element's size
-level.  A placement ANDs the later domains with the placed mask's
-comparability rows.  A row over a level depends only on that level's
-members, so the level owns its rows, built lazily.  A question (one
-``is_avoiding`` or ``find_violation``) builds its levels once, shared by
-every poset of its ConfigSet; a changed level is a new ``_Level``.  Each
-row is the AND of a few bit slices, one per ground element of the level.
+level, first its ``present`` members.  A placement ANDs the later domains
+with the placed mask's comparability rows.  A row over a level depends only
+on that level's members, so the level owns its rows, built lazily.  A
+question (one ``is_avoiding`` or ``find_violation``) builds its levels once,
+shared by every poset of its ConfigSet; the search keeps one level of every
+set per size and changes only what is present.  Each row is the AND of a
+few bit slices, one per ground element of the level.
 Before an element walks its domain, support counts candidates (Hall's
 condition on classes that share one domain): k successors with one size and
 one domain D, such as the middles of diamond(m) or the two tops of a
@@ -46,12 +47,11 @@ from math import factorial, prod
 from typing import NamedTuple
 
 from .configs import ColoredPoset, ConfigSet
-from .lattice import Mask
+from .lattice import Mask, set_bits, transpose
 
 COUNT_FAMILY_GUARD = 4096
 COUNT_POSET_GUARD = 8
 SIZE_TUPLE_CACHE = 1024
-SLICES_BY_TEXT = 16
 
 _MODES = ("standard", "induced")
 
@@ -60,7 +60,7 @@ class _Plan(NamedTuple):
     order: tuple[int, ...]
     succs: tuple[tuple[int, ...], ...]
     succ_groups: tuple[tuple[tuple[int, ...], ...], ...]
-    later_incomparable: tuple[tuple[int, ...], ...]
+    later_incomparable: tuple[int, ...]
     next_twin: tuple[int, ...]
     twins_left: tuple[int, ...]
     twin_factor: int
@@ -94,26 +94,27 @@ def _plan(poset: ColoredPoset) -> _Plan:
     """Per-poset backtracking plan: the element assignment order (colors
     ascending, classes together), successor lists for domain propagation,
     each element's successors grouped by their predecessor sets (the groups
-    support counts), for each position the later elements incomparable to
-    its element, the next later twin (-1 if none) and the number of twins
-    from it on, and the product of k! over twin classes.
+    support counts), for each position the bitset of the later elements
+    incomparable to its element, the next later twin (-1 if none) and the
+    number of twins from it on, and the product of k! over twin classes.
+    Each part is linear in the relation or a bitset operation per element.
 
     A valid coloring is order-preserving, so every successor of an element
     comes later in the order and propagation need not test positions."""
-    colors = poset.colors
-    rows, preds = poset.rows, poset.dual().rows
-    order = tuple(sorted(range(poset.p), key=colors.__getitem__))
-    succs = tuple(tuple(b for b in range(poset.p) if row >> b & 1) for row in rows)
+    colors, p = poset.colors, poset.p
+    rows, preds = poset.rows, transpose(poset.rows, p)
+    order = tuple(sorted(range(p), key=colors.__getitem__))
+    succs = tuple(map(set_bits, rows))
     succ_groups = []
-    for e in range(poset.p):
+    for e in range(p):
         groups: dict[int, list[int]] = {}
         for f in succs[e]:
             groups.setdefault(preds[f], []).append(f)
         succ_groups.append(tuple(map(tuple, groups.values())))
-    later_incomparable = tuple(
-        tuple(f for f in order[pos + 1 :] if not (rows[e] >> f & 1 or rows[f] >> e & 1))
-        for pos, e in enumerate(order)
-    )
+    later = [0] * p  # the elements after each position
+    for pos in range(p - 1, 0, -1):
+        later[pos - 1] = later[pos] | 1 << order[pos]
+    later_incomparable = tuple(m & ~(rows[e] | preds[e]) for m, e in zip(later, order))
     twins: dict[tuple, list[int]] = {}
     for e in order:
         twins.setdefault((colors[e], preds[e], rows[e]), []).append(e)
@@ -156,19 +157,21 @@ def verify_embedding(family, poset: ColoredPoset, mode: str, assignment) -> bool
 
 
 class _Level:
-    """The members of one size and the rows over them: ``rows[mask]`` is
-    mask's row and ``slices`` the bit slices, None until ``_row`` needs
-    them.  The members never change, so neither do the rows."""
+    """The members of one size, the bitset of those ``present`` in the
+    family (every element's first domain), and the rows over them:
+    ``rows[mask]`` is mask's row and ``slices`` the bit slices, None until
+    ``_row`` needs them.  The members never change, so neither do the rows."""
 
-    __slots__ = ("members", "size", "rows", "slices")
+    __slots__ = ("members", "size", "present", "rows", "slices")
 
-    def __init__(self, members: tuple[Mask, ...], size: int):
-        self.members, self.size, self.rows, self.slices = members, size, {}, None
+    def __init__(self, members: tuple[Mask, ...], size: int, present: int):
+        self.members, self.size, self.present = members, size, present
+        self.rows, self.slices = {}, None
 
 
 def _levels(family) -> dict[int, _Level]:
-    """One question's levels, size -> ``_Level``."""
-    return {size: _Level(members, size) for size, members in family.by_size.items()}
+    """One question's levels, size -> ``_Level``, every member present."""
+    return {s: _Level(members, s, (1 << len(members)) - 1) for s, members in family.by_size.items()}
 
 
 def _embeddings(levels, poset: ColoredPoset, mode: str):
@@ -199,11 +202,12 @@ def _embeddings(levels, poset: ColoredPoset, mode: str):
     the twin is one of the incomparable elements, and filtering its old
     domain instead would undo the restriction.
     """
-    if poset.p > sum(len(level.members) for level in levels.values()):
+    present = {s: level.present.bit_count() for s, level in levels.items()}
+    if poset.p > sum(present.values()):
         return
     sizing = _sizing(poset)
     cap = sizing.cap
-    counts = tuple(sorted((s, min(len(v.members), cap)) for s, v in levels.items() if v.members))
+    counts = tuple(sorted((s, min(count, cap)) for s, count in present.items() if count))
     sizes = _size_tuples(poset, counts)
     if sizes == ():
         return
@@ -212,7 +216,7 @@ def _embeddings(levels, poset: ColoredPoset, mode: str):
     call = _Call(sizing.plan, mode == "induced")
     for size in sizes if sizes is not None else _size_gen(poset, counts, ()):
         call.level = [levels[s] for s in size]
-        yield from _assign(call, 0, [(1 << len(level.members)) - 1 for level in call.level])
+        yield from _assign(call, 0, [level.present for level in call.level])
 
 
 class _Call:
@@ -228,43 +232,22 @@ class _Call:
         self.image, self.used = [0] * len(plan.order), set()
 
 
-def _slices(level) -> list[int]:
-    """For each ground element up to the largest one a member holds, the
-    bitset of the positions of the level's members holding it.  Past
-    SLICES_BY_TEXT members, as in ``check``, they are the columns of the
-    members' binary texts, last member first: ``bin(member | 1 << width)``
-    is "0b1" and ``width`` digits, so every (width + 3)-th character from an
-    element's digit reads its slice.  The search's small levels are faster
-    set bit by set bit."""
-    width = max(level).bit_length()
-    if len(level) > SLICES_BY_TEXT:
-        text = "".join(map(bin, map((1 << width).__or__, reversed(level))))
-        group = width + 3
-        return [int(text[group - 1 - i :: group], 2) for i in range(width)]
-    slices = [0] * width
-    for j, member in enumerate(level):
-        while member:
-            low = member & -member
-            member ^= low
-            slices[low.bit_length() - 1] |= 1 << j
-    return slices
-
-
 def _row(level: _Level, mask: Mask) -> int:
     """Bitset of the positions in the level strictly above ``mask`` (a
     larger size) or strictly below it (a smaller one); at mask's own size,
     mask's own position, which induced mode excludes.  Rows come from the
-    level's bit slices (for each ground element, the positions of the
-    members holding it), visiting only mask's set bits or its gaps: above is
-    the AND of the slices of mask's elements, and 0 when mask holds an
-    element no member holds (one past the slices); below, or at the same
-    size, it is the positions in none of the slices of the elements mask
-    lacks."""
+    level's bit slices, the members' transpose (for each ground element up
+    to the largest one a member holds, the positions of the members holding
+    it), visiting only mask's set bits or its gaps: above is the AND of the
+    slices of mask's elements, and 0 when mask holds an element no member
+    holds (one past the slices); below, or at the same size, it is the
+    positions in none of the slices of the elements mask lacks."""
     row = level.rows.get(mask)
     if row is None:
         slices = level.slices
         if slices is None:
-            slices = level.slices = _slices(level.members)
+            members = level.members
+            slices = level.slices = transpose(members, max(members).bit_length())
         row = (1 << len(level.members)) - 1
         if level.size > mask.bit_count():
             if mask >> len(slices):
@@ -339,7 +322,7 @@ def _assign(call: _Call, pos: int, domains):
             if not domains[f]:
                 return
     twin = plan.next_twin[pos]
-    incomparable = plan.later_incomparable[pos] if call.induced else ()
+    incomparable = set_bits(plan.later_incomparable[pos]) if call.induced else ()
     rest, members = domain, level[e].members
     while rest:
         low = rest & -rest
@@ -436,8 +419,8 @@ def count_embeddings(family, poset: ColoredPoset, mode: str = "standard") -> int
         raise ValueError(f"count_embeddings allows at most {COUNT_FAMILY_GUARD} members")
     if poset.p > COUNT_POSET_GUARD:
         raise ValueError(f"count_embeddings allows at most {COUNT_POSET_GUARD} poset elements")
-    embeddings = _embeddings(_levels(family), poset, mode)
-    return sum(1 for _ in embeddings) * _plan(poset).twin_factor
+    count = sum(1 for _ in _embeddings(_levels(family), poset, mode))
+    return count and count * _sizing(poset).plan.twin_factor  # no plan may exist for 0
 
 
 def is_avoiding(family, configs: ConfigSet, mode: str = "standard") -> bool:

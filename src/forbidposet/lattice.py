@@ -45,6 +45,22 @@ def elems_of(mask: Mask) -> tuple[int, ...]:
     return tuple(e + 1 for e in range(mask.bit_length()) if mask >> e & 1)
 
 
+def set_bits(bitset: int) -> tuple[int, ...]:
+    """The indices of the set bits, ascending."""
+    return tuple(i for i, bit in enumerate(bin(bitset)[:1:-1]) if bit == "1")
+
+
+def transpose(rows, width: int) -> list[int]:
+    """Bit-matrix transpose: for each bit i < width, the bitset of the
+    indices of the rows holding bit i; every row must lie below 1 << width.
+    It reads columns of the rows' binary texts, last row first:
+    ``bin(row | 1 << width)`` is "0b1" and ``width`` digits, so every
+    (width + 3)-th character from bit i's digit reads its column."""
+    text = "".join(map(bin, map((1 << width).__or__, reversed(rows))))
+    group = width + 3
+    return [int(text[group - 1 - i :: group] or "0", 2) for i in range(width)]
+
+
 def set_text(elems) -> str:
     """One set as the family text format writes it: "1,3", or "-" if empty."""
     return ",".join(map(str, elems)) if elems else "-"

@@ -25,10 +25,11 @@ of equal size, so three flags over the ConfigSet's element pairs decide it
 (``_pair_roles``), and where they say no, d stays viable unasked.  The root
 and ``greedy_lower_bound`` ask about every set.
 
-The searcher keeps the family as one detector ``_Level`` per size, and a
-level owns the rows over its members.  ``push`` replaces the level it
-changes by a new one and ``pop`` puts the old one back, rows included, so
-the rows over the other levels serve every sibling check and every child.
+The searcher holds one detector ``_Level`` per size with every candidate of
+that size, for the whole search, and the family is their ``present`` bits:
+``push`` sets its set's bit, found by bisection in the ascending level, and
+``pop`` clears it.  The rows over a level never go stale, so each level
+builds its slices at most once.
 
 Symmetry is only the choice of orbit key.  An embedding depends only on
 containment and cardinality, which every permutation of [n] preserves, so
@@ -50,6 +51,7 @@ deterministic for fixed options.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import floor
 
@@ -148,8 +150,6 @@ class _Searcher:
     def __init__(self, problem: SearchProblem):
         self.problem = problem
         self.members: list[Mask] = []
-        self.levels = {s: _Level((), s) for s in range(problem.n + 1)}
-        self.saved: list[_Level] = []
         self.roles = _pair_roles(problem.configs, problem.mode)
         self.best_members: tuple[Mask, ...] = ()
         self.best_size = 0
@@ -159,15 +159,21 @@ class _Searcher:
         self.deadline = None
         if problem.time_limit is not None:
             self.deadline = time.monotonic() + problem.time_limit
+        self.candidates = candidate_order(problem.n, problem.include_empty_and_full)
+        by_size: dict[int, list[Mask]] = {}
+        for mask in self.candidates:  # ascending within each size
+            by_size.setdefault(mask.bit_count(), []).append(mask)
+        self.levels = {s: _Level(tuple(sets), s, 0) for s, sets in by_size.items()}
 
     def push(self, mask: Mask) -> None:
-        size = mask.bit_count()
+        level = self.levels[mask.bit_count()]
+        level.present |= 1 << bisect_left(level.members, mask)
         self.members.append(mask)
-        self.saved.append(self.levels[size])
-        self.levels[size] = _Level((*self.saved[-1].members, mask), size)
 
     def pop(self) -> None:
-        self.levels[self.members.pop().bit_count()] = self.saved.pop()
+        mask = self.members.pop()
+        level = self.levels[mask.bit_count()]
+        level.present &= ~(1 << bisect_left(level.members, mask))
 
     def addable(self, mask: Mask) -> bool:
         self.push(mask)
@@ -181,6 +187,10 @@ class _Searcher:
         if c & d in (c, d):
             return comparable
         return level if c.bit_count() == d.bit_count() else free
+
+    def check_deadline(self) -> None:
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise _Stop(LOWER_BOUND_ONLY)
 
     def record_if_better(self) -> None:
         cur = len(self.members)
@@ -205,8 +215,7 @@ class _Searcher:
         incumbent: its subtree keeps the rest of its own orbit and drops the
         orbits handled before it."""
         self.nodes += 1
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise _Stop(LOWER_BOUND_ONLY)
+        self.check_deadline()
         self.record_if_better()
         key = self.orbit_key()
         while viable:
@@ -222,13 +231,16 @@ class _Searcher:
 
     def run_root(self) -> str:
         """Search the whole tree and return the result status."""
-        problem = self.problem
-        candidates = candidate_order(problem.n, problem.include_empty_and_full)
         try:
-            self.branch([d for d in candidates if self.addable(d)])
+            viable = []
+            for d in self.candidates:  # 2^n checks before the first node
+                self.check_deadline()
+                if self.addable(d):
+                    viable.append(d)
+            self.branch(viable)
         except _Stop as stop:
             return stop.status
-        return PROVEN_OPTIMAL if problem.n <= EXACT_STATUS_GUARD else LOWER_BOUND_ONLY
+        return PROVEN_OPTIMAL if self.problem.n <= EXACT_STATUS_GUARD else LOWER_BOUND_ONLY
 
 
 def exact_max_family(problem: SearchProblem) -> SearchResult:
@@ -253,7 +265,7 @@ def greedy_lower_bound(problem: SearchProblem) -> Family:
     """Maximal (not maximum) avoiding family: scan candidates in branch order
     and keep every set whose addition stays avoiding."""
     searcher = _Searcher(problem)
-    for mask in candidate_order(problem.n, problem.include_empty_and_full):
+    for mask in searcher.candidates:
         if searcher.addable(mask):
             searcher.push(mask)
     return Family(problem.n, searcher.members)

@@ -16,7 +16,6 @@ from forbidposet import (
     middle_levels,
     sigma,
 )
-from forbidposet import bounds
 from forbidposet.bounds import EXACT, MAIN_TERM_ONLY, bound_params, cprime
 
 from conftest import order_preserving_colorings
@@ -248,10 +247,16 @@ class TestGeneralConstant:
         with pytest.raises(ValueError, match=r"invalid colored poset \(acyclic\)"):
             constant_for_poset_any_coloring(cycle)
 
-    def test_any_coloring_guard(self):
-        (big,) = build_named("diamond", 7).configs  # 9 elements
-        with pytest.raises(ValueError):
-            constant_for_poset_any_coloring(big)
+    def test_cprime_at_most_twice_the_class_size(self):
+        # with cprime(1) = 2 this makes 2p the any-coloring maximum
+        assert cprime(1) == 2
+        assert all(cprime(m) <= 2 * m for m in range(1, 10_000))
+
+    @pytest.mark.parametrize("name, param", [("diamond", 7), ("fork", 4095)])
+    def test_any_coloring_is_twice_the_size_of_large_posets(self, name, param):
+        # 9 and 4,096 elements, past any walk over colorings
+        (poset,) = build_named(name, param).configs
+        assert constant_for_poset_any_coloring(poset) == 2 * poset.p
 
 
 def random_valid_poset(rng: random.Random, max_p: int = 6) -> ColoredPoset:
@@ -279,22 +284,6 @@ class TestColorClassSizes:
                 for coloring in order_preserving_colorings(poset.rows, poset.p)
             }
             assert constant_for_poset_any_coloring(poset) == max(map(general_constant, expected))
-
-    def test_any_coloring_calls_cprime_at_most_3_to_the_p(self, monkeypatch):
-        # one call per (colored set, next class) pair: the 545,835 colorings
-        # of an 8-element antichain would each take several
-        calls = []
-
-        def counted(m):
-            calls.append(m)
-            return cprime(m)
-
-        monkeypatch.setattr(bounds, "cprime", counted)
-        for p in (6, 8):
-            calls.clear()
-            antichain = ColoredPoset.build(p, [], [1] * p)
-            assert constant_for_poset_any_coloring(antichain) == 2 * p  # p classes of one
-            assert 0 < len(calls) <= 3**p
 
     def test_antichains_give_fubini_numbers(self):
         # colorings of p unrelated elements are the ordered set partitions,

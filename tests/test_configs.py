@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 from collections import Counter
 from dataclasses import fields, replace
@@ -419,6 +420,21 @@ class TestSerialization:
 
 
 class TestDual:
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(colored_posets(max_p=12))
+    def test_dual_rows_are_the_bitwise_transpose(self, poset):
+        assert poset.dual().rows == tuple(
+            sum((row >> b & 1) << a for a, row in enumerate(poset.rows)) for b in range(poset.p)
+        )
+
+    def test_dual_of_a_long_chain_is_fast(self):
+        # a transpose quadratic in Python steps takes seconds at this size
+        (chain,) = build_named("chain", 4096).configs
+        start = time.perf_counter()
+        dual = chain.dual()
+        assert time.perf_counter() - start < 1.5
+        assert dual.rows[-1] == (1 << 4095) - 1 and dual.rows[0] == 0
+
     def test_dual_involutive_and_valid(self, roster):
         for label, cfg in roster:
             for poset in cfg:

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -131,6 +132,19 @@ class TestTwinPlan:
         assert _plan(tops).twins_left == (1, 1, 2, 1)
         # j_config's B and C share a predecessor but not a group with D
         assert _plan(J.configs[0]).succ_groups == (((1, 2), (3,)), ((3,),), (), ())
+
+    def test_plan_of_a_large_fork_is_fast(self):
+        # a plan quadratic in Python steps takes seconds at this size; each
+        # top's later incomparable elements are the later tops, one bitset
+        (fork,) = build_named("fork", 4095).configs
+        start = time.perf_counter()
+        plan = _plan(fork)
+        assert time.perf_counter() - start < 1.5
+        assert plan.succs[0] == tuple(range(1, 4096))
+        assert plan.later_incomparable[0] == 0
+        assert plan.later_incomparable[1] == (1 << 4096) - 4
+        assert plan.later_incomparable[-1] == 0
+        assert plan.twins_left[1] == 4095
 
     def test_chains_have_no_twins(self):
         for r in range(1, 8):
@@ -536,7 +550,7 @@ class TestRandomPosetOracle:
 @st.composite
 def level_and_masks(draw):
     """One size level of a family over [n] (any share of the sets of one
-    size, so levels on both sides of SLICES_BY_TEXT) and masks over [n + 1]
+    size) and masks over [n + 1]
     to ask rows of: any size, so strictly above, strictly below and same
     size all occur, and element n, which no member holds, among them."""
     n = draw(st.integers(1, 8))
@@ -556,7 +570,7 @@ class TestRowCache:
     @example((0, [0], [0, 0b1]))  # the empty set's level, with no slices
     def test_row_matches_a_scan_of_the_level(self, case):
         size, level, masks = case
-        built = detector._Level(tuple(level), size)
+        built = detector._Level(tuple(level), size, (1 << len(level)) - 1)
         for mask in masks:
             assert detector._row(built, mask) == scanned_row(level, mask, size), (level, mask)
 

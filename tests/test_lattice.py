@@ -22,9 +22,28 @@ from forbidposet.lattice import (
     q_values_upto,
     set_text,
     tail_k,
+    transpose,
 )
 
 from conftest import powerset_family, q_value_direct, random_family
+
+
+def bitwise_transpose(rows, width: int) -> list[int]:
+    return [sum((row >> i & 1) << j for j, row in enumerate(rows)) for i in range(width)]
+
+
+class TestTranspose:
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(st.integers(0, 70).flatmap(
+        lambda width: st.tuples(
+            st.just(width), st.lists(st.integers(0, (1 << width) - 1), max_size=40)
+        )
+    ))
+    @example((0, [0, 0]))  # no columns
+    @example((3, []))  # no rows: every column is empty
+    def test_matches_a_bitwise_transpose(self, case):
+        width, rows = case
+        assert transpose(rows, width) == bitwise_transpose(rows, width)
 
 
 class TestBinomial:

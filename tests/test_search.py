@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -293,6 +294,14 @@ class TestStatusesAndOptions:
         assert res.best_size >= 1
         assert is_avoiding(res.witness, build_named("kt_pair"))
 
+    def test_time_limit_bounds_the_root_screen(self, monkeypatch):
+        # a clock that ticks once per reading passes the deadline during the
+        # 256 root checks at n=8, before the first node
+        ticks = itertools.count()
+        monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
+        res = exact_max_family(SearchProblem(n=8, configs=build_named("kt_pair"), time_limit=50))
+        assert (res.status, res.nodes_explored, res.best_size) == (LOWER_BOUND_ONLY, 0, 0)
+
     def test_time_limit_validated(self):
         with pytest.raises(ValueError):
             SearchProblem(n=3, configs=build_named("kt_pair"), time_limit=0)
@@ -454,6 +463,7 @@ class TestSearchRowCache:
     def test_rows_stay_fresh_across_push_and_pop(self, walk):
         problem, steps = walk
         searcher = _Searcher(problem)
+        levels = dict(searcher.levels)
         for kind, mask in steps:
             if kind == "push":
                 searcher.push(mask)
@@ -463,60 +473,65 @@ class TestSearchRowCache:
                 family = Family(problem.n, [*searcher.members, mask])
                 fresh = is_avoiding(family, problem.configs, problem.mode)
                 assert searcher.addable(mask) is fresh
-                # each level holds its size's members in the order pushed,
-                # and every row and slice a level holds, the saved ones
-                # included, matches a scan of its members
-                assert {s: level.members for s, level in searcher.levels.items()} == {
-                    s: tuple(m for m in searcher.members if m.bit_count() == s)
-                    for s in range(problem.n + 1)
-                }
-                for level in (*searcher.levels.values(), *searcher.saved):
-                    members, size = level.members, level.size
-                    for source, row in level.rows.items():
-                        assert row == scanned_row(members, source, size), (size, source)
-                    if level.slices is not None:
-                        assert level.slices == [
-                            sum((member >> e & 1) << j for j, member in enumerate(members))
-                            for e in range(max(members).bit_length())
-                        ], size
+            # the levels are the same objects all along, each holds every
+            # set of its size in ascending order, its present bits are the
+            # family's members of that size, and every row and slice it
+            # holds matches a scan of its members
+            assert searcher.levels == levels  # a _Level compares by identity
+            for size, level in levels.items():
+                members = level.members
+                assert members == tuple(m for m in range(1 << problem.n) if m.bit_count() == size)
+                assert level.present == sum(
+                    1 << j for j, m in enumerate(members) if m in searcher.members
+                ), size
+                for source, row in level.rows.items():
+                    assert row == scanned_row(members, source, size), (size, source)
+                if level.slices is not None:
+                    assert level.slices == [
+                        sum((member >> e & 1) << j for j, member in enumerate(members))
+                        for e in range(max(members).bit_length())
+                    ], size
 
     def test_pop_restores_the_identical_level(self):
         searcher = _Searcher(SearchProblem(3, build_named("kt_pair")))
         searcher.push(0b011)
         searcher.push(0b101)
         level = searcher.levels[2]
+        assert level.members == (0b011, 0b101, 0b110)
+        assert level.present == 0b011
         assert not searcher.addable(0b001)  # {1} lies below {1,2} and {1,3}
-        rows = dict(level.rows)
+        rows, slices = dict(level.rows), level.slices
         assert rows
         searcher.push(0b110)
-        assert searcher.levels[2] is not level
-        assert searcher.levels[2].members == (0b011, 0b101, 0b110)
+        assert searcher.levels[2] is level
+        assert level.present == 0b111
         searcher.pop()
         assert searcher.levels[2] is level
-        assert level.rows == rows
+        assert (level.present, level.rows, level.slices) == (0b011, rows, slices)
 
     @pytest.mark.parametrize(
         "config, n, builds",
         [
-            ("kt_pair", 5, 2693),  # 3,214 when push and pop dropped a level's rows
-            ("diamond(4)", 5, 327),  # 386
-            ("butterfly_pair", 4, 948),  # 1,061
-            ("j_config", 4, 439),  # 474
+            ("kt_pair", 5, 6),
+            ("diamond(4)", 5, 8),
+            ("butterfly_pair", 4, 6),
+            ("j_config", 4, 4),
         ],
     )
     def test_slices_builds_pinned(self, monkeypatch, config, n, builds):
-        # a level builds its slices at most once, and the level a pop puts
-        # back still has them; the witness check is counted too
-        counted = []
-        slices = detector._slices
+        # each of the search's levels builds its slices at most once, and
+        # so does each level of the witness check, counted too
+        built = []
+        row = detector._row
 
-        def counting(members):
-            counted.append(None)
-            return slices(members)
+        def counting(level, mask):
+            if level.slices is None:
+                built.append(level.size)
+            return row(level, mask)
 
-        monkeypatch.setattr(detector, "_slices", counting)
+        monkeypatch.setattr(detector, "_row", counting)
         exact_max_family(SearchProblem(n, build_named(parse_config_id(config))))
-        assert len(counted) == builds
+        assert len(built) == builds
 
 
 class TestVerifyWitness:
