@@ -17,9 +17,9 @@ level, first its ``present`` members.  A placement ANDs the later domains
 with the placed mask's comparability rows.  A row over a level depends only
 on that level's members, so the level owns its rows, built lazily.  A
 question (one ``is_avoiding`` or ``find_violation``) builds its levels once,
-shared by every poset of its ConfigSet; the search keeps one level of every
-set per size and changes only what is present.  Each row is the AND of a
-few bit slices, one per ground element of the level.
+shared by every poset of its ConfigSet, and one ``_Pattern`` per poset; the
+search builds both once, a level of every set per size, and changes only
+what is present.  Each row is the AND of bit slices, one per ground element.
 Before an element walks its domain, support counts candidates (Hall's
 condition on classes that share one domain): k successors with one size and
 one domain D, such as the middles of diamond(m) or the two tops of a
@@ -41,7 +41,6 @@ never maps an injective embedding to itself.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import islice, permutations
 from math import factorial, prod
 from typing import NamedTuple
@@ -66,28 +65,26 @@ class _Plan(NamedTuple):
     twin_factor: int
 
 
-class _Sizing:
-    """A poset's size stage, by color 1..k: the class sizes and the largest
-    (``cap``), and bitsets of each color's elements and of the elements
-    above them; color c must exceed the size of each color reaching above
-    into c.  Built in one pass over the rows, it turns away a poset with no
-    size choice before ``_plan``, quadratic in the poset's size, which
-    ``plan`` then holds once a call needs it."""
+class _Pattern:
+    """A poset prepared for one question.  Its size stage, by color 1..k:
+    the class sizes and the largest (``cap``), and bitsets of each color's
+    elements and of those above them (color c must exceed the size of each
+    color reaching above into c), built in one pass over the rows.  That
+    turns away a poset with no size choice before ``_plan``, quadratic in
+    its size; ``plan`` holds it once built, ``sizes`` the size choices."""
 
-    __slots__ = ("class_size", "cap", "of_color", "above", "plan")
+    __slots__ = ("poset", "class_size", "cap", "of_color", "above", "plan", "sizes")
 
     def __init__(self, poset: ColoredPoset):
         k = poset.num_colors
+        self.poset = poset
         self.of_color, self.above = [0] * (k + 1), [0] * (k + 1)
         for e, (c, row) in enumerate(zip(poset.colors, poset.rows)):
             self.of_color[c] |= 1 << e
             self.above[c] |= row
         self.class_size = (0, *poset.color_class_sizes())
         self.cap = max(self.class_size)
-        self.plan: _Plan | None = None
-
-
-_sizing = lru_cache(maxsize=None)(_Sizing)
+        self.plan, self.sizes = None, {}
 
 
 def _plan(poset: ColoredPoset) -> _Plan:
@@ -174,7 +171,7 @@ def _levels(family) -> dict[int, _Level]:
     return {s: _Level(members, s, (1 << len(members)) - 1) for s, members in family.by_size.items()}
 
 
-def _embeddings(levels, poset: ColoredPoset, mode: str):
+def _embeddings(levels, pattern: _Pattern, mode: str):
     """Backtracking core: yield every embedding of the poset into the
     family of the ``levels`` (size -> ``_Level``), each as the tuple of image
     masks in element order.  A poset with more elements than the family has
@@ -203,18 +200,16 @@ def _embeddings(levels, poset: ColoredPoset, mode: str):
     domain instead would undo the restriction.
     """
     present = {s: level.present.bit_count() for s, level in levels.items()}
-    if poset.p > sum(present.values()):
+    if pattern.poset.p > sum(present.values()):
         return
-    sizing = _sizing(poset)
-    cap = sizing.cap
-    counts = tuple(sorted((s, min(count, cap)) for s, count in present.items() if count))
-    sizes = _size_tuples(poset, counts)
+    counts = tuple(sorted((s, min(count, pattern.cap)) for s, count in present.items() if count))
+    sizes = _size_tuples(pattern, counts)
     if sizes == ():
         return
-    if sizing.plan is None:
-        sizing.plan = _plan(poset)
-    call = _Call(sizing.plan, mode == "induced")
-    for size in sizes if sizes is not None else _size_gen(poset, counts, ()):
+    if pattern.plan is None:
+        pattern.plan = _plan(pattern.poset)
+    call = _Call(pattern.plan, mode == "induced")
+    for size in sizes:
         call.level = [levels[s] for s in size]
         yield from _assign(call, 0, [level.present for level in call.level])
 
@@ -351,43 +346,44 @@ def _assign(call: _Call, pos: int, domains):
                 used.discard(mask)
 
 
-def _size_gen(poset: ColoredPoset, counts, chosen: tuple[int, ...]):
+def _size_gen(pattern: _Pattern, counts, chosen: tuple[int, ...]):
     """Every choice of one set size per color, in lexicographic order and
     given as the size of each element: color c takes a size with at least
     class_size[c] members, above the sizes of the colors it must exceed."""
-    sizing = _sizing(poset)
     c = len(chosen) + 1
-    if c == len(sizing.class_size):
-        yield tuple(chosen[color - 1] for color in poset.colors)
+    if c == len(pattern.class_size):
+        yield tuple(chosen[color - 1] for color in pattern.poset.colors)
         return
-    mine = sizing.of_color[c]
-    floor = max((s for s, up in zip(chosen, sizing.above[1:]) if up & mine), default=-1)
+    mine = pattern.of_color[c]
+    floor = max((s for s, up in zip(chosen, pattern.above[1:]) if up & mine), default=-1)
     for size, count in counts:
-        if size > floor and count >= sizing.class_size[c]:
-            yield from _size_gen(poset, counts, (*chosen, size))
+        if size > floor and count >= pattern.class_size[c]:
+            yield from _size_gen(pattern, counts, (*chosen, size))
 
 
-@lru_cache(maxsize=4096)
-def _size_tuples(poset: ColoredPoset, counts) -> tuple[tuple[int, ...], ...] | None:
-    """``_size_gen``'s choices, cached per poset and level counts (capped at
-    the largest class size: the choice depends on nothing else) so the
-    search's many small calls do not redo them; None past SIZE_TUPLE_CACHE
-    choices, which many unrelated colors can reach, and the call then draws
-    them lazily."""
-    sizes = tuple(islice(_size_gen(poset, counts, ()), SIZE_TUPLE_CACHE + 1))
-    return sizes if len(sizes) <= SIZE_TUPLE_CACHE else None
+def _size_tuples(pattern: _Pattern, counts):
+    """``_size_gen``'s choices for the level counts (capped at the largest
+    class size: the choice depends on nothing else), memoized on the pattern
+    so the search's many small calls do not redo them.  Past SIZE_TUPLE_CACHE
+    choices, which many unrelated colors can reach, the memo holds None and
+    each call draws them lazily."""
+    sizes = pattern.sizes.get(counts)
+    if sizes is None and counts not in pattern.sizes:
+        sizes = tuple(islice(_size_gen(pattern, counts, ()), SIZE_TUPLE_CACHE + 1))
+        pattern.sizes[counts] = sizes = sizes if len(sizes) <= SIZE_TUPLE_CACHE else None
+    return _size_gen(pattern, counts, ()) if sizes is None else sizes
 
 
-def _search(levels, poset: ColoredPoset, mode: str):
+def _search(levels, pattern: _Pattern, mode: str):
     """The first embedding's image masks, or None."""
-    return next(_embeddings(levels, poset, mode), None)
+    return next(_embeddings(levels, pattern, mode), None)
 
 
-def _hits_with_member(levels, configs: ConfigSet, mode: str) -> bool:
+def _hits_with_member(levels, patterns, mode: str) -> bool:
     """True iff some config embeds into the family of the levels.  When that
     family is an avoiding family plus one new set, every embedding must use
     the new set, so this is also the incremental check for adding it."""
-    return any(_search(levels, poset, mode) is not None for poset in configs)
+    return any(_search(levels, pattern, mode) is not None for pattern in patterns)
 
 
 def find_embedding(family, poset: ColoredPoset, mode: str = "standard") -> tuple[int, ...] | None:
@@ -395,16 +391,16 @@ def find_embedding(family, poset: ColoredPoset, mode: str = "standard") -> tuple
     element -> index into family.members), or None.  The witness is
     re-verified against all invariants before return."""
     _check_mode(mode)
-    return _witness(family, poset, mode, _levels(family))
+    return _witness(family, _Pattern(poset), mode, _levels(family))
 
 
-def _witness(family, poset: ColoredPoset, mode: str, levels) -> tuple[int, ...] | None:
+def _witness(family, pattern: _Pattern, mode: str, levels) -> tuple[int, ...] | None:
     """``find_embedding`` over the question's levels."""
-    hit = _search(levels, poset, mode)
+    hit = _search(levels, pattern, mode)
     if hit is None:
         return None
     assignment = tuple(map(family.members.index, hit))
-    if not verify_embedding(family, poset, mode, assignment):
+    if not verify_embedding(family, pattern.poset, mode, assignment):
         raise RuntimeError("detector returned an invalid witness")
     return assignment
 
@@ -419,14 +415,15 @@ def count_embeddings(family, poset: ColoredPoset, mode: str = "standard") -> int
         raise ValueError(f"count_embeddings allows at most {COUNT_FAMILY_GUARD} members")
     if poset.p > COUNT_POSET_GUARD:
         raise ValueError(f"count_embeddings allows at most {COUNT_POSET_GUARD} poset elements")
-    count = sum(1 for _ in _embeddings(_levels(family), poset, mode))
-    return count and count * _sizing(poset).plan.twin_factor  # no plan may exist for 0
+    pattern = _Pattern(poset)
+    count = sum(1 for _ in _embeddings(_levels(family), pattern, mode))
+    return count and count * pattern.plan.twin_factor  # no plan may exist for 0
 
 
 def is_avoiding(family, configs: ConfigSet, mode: str = "standard") -> bool:
     """True iff no member poset of the ConfigSet embeds into the family."""
     _check_mode(mode)
-    return not _hits_with_member(_levels(family), configs, mode)
+    return not _hits_with_member(_levels(family), map(_Pattern, configs), mode)
 
 
 def find_violation(family, configs: ConfigSet, mode: str = "standard"):
@@ -435,7 +432,7 @@ def find_violation(family, configs: ConfigSet, mode: str = "standard"):
     _check_mode(mode)
     levels = _levels(family)
     for i, poset in enumerate(configs):
-        assignment = _witness(family, poset, mode, levels)
+        assignment = _witness(family, _Pattern(poset), mode, levels)
         if assignment is not None:
             return i, assignment
     return None

@@ -53,11 +53,12 @@ from __future__ import annotations
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
+from heapq import merge
 from math import floor
 
 from .bounds import EXACT, BoundResult
 from .configs import ConfigSet
-from .detector import _check_mode, _hits_with_member, _Level, is_avoiding
+from .detector import _check_mode, _hits_with_member, _Level, _Pattern, is_avoiding
 from .lattice import Family, Mask, ground_mask
 
 PROVEN_OPTIMAL = "proven-optimal"
@@ -96,12 +97,20 @@ class SearchResult:
     prunes: int
 
 
-def candidate_order(n: int, include_empty_and_full: bool = True) -> list[Mask]:
-    """All subsets of [n], middle cardinalities first, ascending mask on ties."""
-    masks = sorted(range(1 << n), key=lambda m: (abs(2 * m.bit_count() - n), m))
+def _candidates(n: int, include_empty_and_full: bool) -> tuple[list[Mask], dict[int, list[Mask]]]:
+    """The candidates in branch order, middle cardinalities first and
+    ascending mask on ties, and by size, each size ascending.  One pass
+    groups the sets by size; then each distance from n/2, nearest first,
+    merges its one or two sizes."""
+    by_size: dict[int, list[Mask]] = {s: [] for s in range(n + 1)}
+    for mask in range(1 << n):
+        by_size[mask.bit_count()].append(mask)
     if not include_empty_and_full:
-        masks = [m for m in masks if 0 < m.bit_count() < n]
-    return masks
+        del by_size[0], by_size[n]
+    order: list[Mask] = []
+    for low in range(n // 2, -1, -1):
+        order += merge(*(by_size.get(s, ()) for s in {low, n - low}))
+    return order, by_size
 
 
 def _bound_target(theorem_bound: BoundResult | None, n: int) -> int | None:
@@ -151,6 +160,7 @@ class _Searcher:
         self.problem = problem
         self.members: list[Mask] = []
         self.roles = _pair_roles(problem.configs, problem.mode)
+        self.patterns = tuple(map(_Pattern, problem.configs))
         self.best_members: tuple[Mask, ...] = ()
         self.best_size = 0
         self.nodes = 0
@@ -159,10 +169,7 @@ class _Searcher:
         self.deadline = None
         if problem.time_limit is not None:
             self.deadline = time.monotonic() + problem.time_limit
-        self.candidates = candidate_order(problem.n, problem.include_empty_and_full)
-        by_size: dict[int, list[Mask]] = {}
-        for mask in self.candidates:  # ascending within each size
-            by_size.setdefault(mask.bit_count(), []).append(mask)
+        self.candidates, by_size = _candidates(problem.n, problem.include_empty_and_full)
         self.levels = {s: _Level(tuple(sets), s, 0) for s, sets in by_size.items()}
 
     def push(self, mask: Mask) -> None:
@@ -177,7 +184,7 @@ class _Searcher:
 
     def addable(self, mask: Mask) -> bool:
         self.push(mask)
-        hit = _hits_with_member(self.levels, self.problem.configs, self.problem.mode)
+        hit = _hits_with_member(self.levels, self.patterns, self.problem.mode)
         self.pop()
         return not hit
 

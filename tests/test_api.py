@@ -70,6 +70,40 @@ def test_private_imports_between_modules_are_pinned():
                 }
     assert imported == {
         "search <- detector._Level",
+        "search <- detector._Pattern",
         "search <- detector._check_mode",
         "search <- detector._hits_with_member",
     }
+
+
+def _cached_definitions(tree: ast.Module):
+    """Module-level definitions that use functools.cache or lru_cache."""
+    caches, names, modules = {"cache", "lru_cache"}, set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            names |= {a.asname or a.name for a in node.names if a.name in caches}
+        elif isinstance(node, ast.Import):
+            modules |= {a.asname or a.name for a in node.names if a.name == "functools"}
+    for name, node in _definitions(tree):
+        if any(
+            isinstance(leaf, ast.Name) and leaf.id in names
+            or isinstance(leaf, ast.Attribute)
+            and leaf.attr in caches
+            and isinstance(leaf.value, ast.Name)
+            and leaf.value.id in modules
+            for leaf in ast.walk(node)
+        ):
+            yield name
+
+
+def test_process_wide_caches_are_pinned():
+    # a functools cache lives as long as the process, so it may only be
+    # keyed by a small fixed range: lattice._byte_texts by a chunk count of
+    # at most 8, one chunk per 8 ground elements.  What one question builds,
+    # such as a poset's plan, belongs to that question.
+    cached = {
+        f"{path.stem}.{name}"
+        for path in PACKAGE.glob("*.py")
+        for name in _cached_definitions(ast.parse(path.read_text()))
+    }
+    assert cached == {"lattice._byte_texts"}

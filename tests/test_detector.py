@@ -1,7 +1,10 @@
 import gc
 import hashlib
+import inspect
 import random
 import time
+import weakref
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,19 +13,22 @@ from forbidposet import (
     ColoredPoset,
     ConfigSet,
     Family,
+    SearchProblem,
     build_named,
     complement_family,
     count_embeddings,
+    exact_max_family,
     find_embedding,
     find_violation,
+    greedy_lower_bound,
     is_avoiding,
     kt_construction,
     load_config,
     middle_levels,
     verify_embedding,
 )
-from forbidposet import detector
-from forbidposet.detector import _plan, _size_tuples
+from forbidposet import detector, search
+from forbidposet.detector import _Pattern, _plan, _size_tuples
 
 from conftest import (
     brute_avoiding,
@@ -187,7 +193,42 @@ class TestFirstViolationPinned:
         assert digest == LARGE_LEVELS_DIGEST
 
 
+# Questions over kt_pair; each builds a plan and size choices for at least
+# one of its posets.
+QUESTIONS = {
+    "is_avoiding": lambda cfg: is_avoiding(kt_construction(5), cfg),
+    "find_violation": lambda cfg: find_violation(powerset_family(3), cfg, "induced"),
+    "find_embedding": lambda cfg: find_embedding(powerset_family(3), cfg.configs[1]),
+    "count_embeddings": lambda cfg: count_embeddings(powerset_family(3), cfg.configs[0]),
+    "exact_max_family": lambda cfg: exact_max_family(SearchProblem(n=4, configs=cfg)),
+    "greedy_lower_bound": lambda cfg: greedy_lower_bound(SearchProblem(n=4, configs=cfg)),
+}
+
+
 class TestCallState:
+    @pytest.mark.parametrize("question", sorted(QUESTIONS))
+    def test_a_question_leaves_nothing_behind(self, question):
+        # nothing process-wide keeps a question's posets, or their plans and
+        # size choices: once it returns and its locals go, they are garbage.
+        # The names make the posets equal to none an earlier test asked about.
+        configs = ConfigSet(tuple(replace(poset, name=f"{question}:{poset.name}") for poset in KT))
+        refs = [weakref.ref(poset) for poset in configs]
+        QUESTIONS[question](configs)
+        del configs
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
+
+    def test_a_search_builds_one_pattern_per_poset(self, monkeypatch):
+        built = []
+
+        def counting(poset):
+            built.append(poset.name)
+            return _Pattern(poset)
+
+        monkeypatch.setattr(search, "_Pattern", counting)
+        assert exact_max_family(SearchProblem(n=4, configs=KT)).best_size == 6
+        assert built == ["kt_pair_up", "kt_pair_down"]
+
     def test_calls_leave_no_cyclic_garbage(self):
         # a call's state is freed by reference counting alone, whether its
         # generator runs to the end, is dropped after its first item or is
@@ -213,7 +254,10 @@ class TestCallState:
         # size choices, past the cache; the first embedding needs few of them
         poset = ColoredPoset.build(6, [], [1, 2, 3, 4, 5, 6])
         fam = powerset_family(4)
-        assert _size_tuples(poset, tuple((s, 1) for s in range(5))) is None
+        pattern = _Pattern(poset)
+        counts = tuple((s, 1) for s in range(5))
+        assert inspect.isgenerator(_size_tuples(pattern, counts))
+        assert pattern.sizes == {counts: None}
         for mode in ("standard", "induced"):
             emb = find_embedding(fam, poset, mode)
             assert emb is not None and verify_embedding(fam, poset, mode, emb)
@@ -221,11 +265,7 @@ class TestCallState:
     def test_lazy_sizes_keep_the_first_violations(self, monkeypatch):
         # with every size list drawn lazily, the pinned first violations stay
         monkeypatch.setattr(detector, "SIZE_TUPLE_CACHE", 0)
-        _size_tuples.cache_clear()
-        try:
-            results = large_level_violations()
-        finally:
-            _size_tuples.cache_clear()
+        results = large_level_violations()
         assert hashlib.sha256(repr(results).encode()).hexdigest() == LARGE_LEVELS_DIGEST
 
 

@@ -29,7 +29,6 @@ from forbidposet.search import (
     PROVEN_OPTIMAL,
     SearchProblem,
     _Searcher,
-    candidate_order,
 )
 
 from conftest import (
@@ -56,6 +55,14 @@ def brute_force_max(n, configs, mode="standard"):
     return best
 
 
+def candidate_order(n: int, include_empty_and_full: bool = True) -> list:
+    """The order in which a search over [n] takes its candidates."""
+    problem = SearchProblem(
+        n, build_named("kt_pair"), include_empty_and_full=include_empty_and_full
+    )
+    return _Searcher(problem).candidates
+
+
 class TestCandidateOrder:
     def test_middle_first_then_mask(self):
         order = candidate_order(3)
@@ -68,6 +75,14 @@ class TestCandidateOrder:
     def test_exclude_empty_and_full(self):
         order = candidate_order(3, include_empty_and_full=False)
         assert 0 not in order and 0b111 not in order
+
+    @pytest.mark.parametrize("include_empty_and_full", [True, False])
+    def test_equals_the_sorted_definition(self, include_empty_and_full):
+        for n in range(1, 11):
+            masks = sorted(range(1 << n), key=lambda m: (abs(2 * m.bit_count() - n), m))
+            if not include_empty_and_full:
+                masks = [m for m in masks if 0 < m.bit_count() < n]
+            assert candidate_order(n, include_empty_and_full) == masks, n
 
 
 class TestExactValues:
