@@ -71,7 +71,8 @@ class _Pattern:
     elements and of those above them (color c must exceed the size of each
     color reaching above into c), built in one pass over the rows.  That
     turns away a poset with no size choice before ``_plan``, quadratic in
-    its size; ``plan`` holds it once built, ``sizes`` the size choices."""
+    its size; ``plan`` holds it once built, ``sizes`` the size choices by
+    (level counts, size some element must take or None)."""
 
     __slots__ = ("poset", "class_size", "cap", "of_color", "above", "plan", "sizes")
 
@@ -171,12 +172,20 @@ def _levels(family) -> dict[int, _Level]:
     return {s: _Level(members, s, (1 << len(members)) - 1) for s, members in family.by_size.items()}
 
 
-def _embeddings(levels, pattern: _Pattern, mode: str):
+def _counts(levels) -> tuple[tuple[int, int], ...]:
+    """(size, members present) of each level with some present, by size."""
+    counts = [(s, c) for s, level in levels.items() if (c := level.present.bit_count())]
+    return tuple(sorted(counts))
+
+
+def _embeddings(levels, pattern: _Pattern, mode: str, counts, size: int | None = None):
     """Backtracking core: yield every embedding of the poset into the
     family of the ``levels`` (size -> ``_Level``), each as the tuple of image
-    masks in element order.  A poset with more elements than the family has
-    members cannot embed injectively, so it yields nothing before any plan
-    is built, and one with no size choice yields nothing before ``_plan``.
+    masks in element order; ``counts`` is ``_counts(levels)``.  Given a
+    ``size``, only the size choices that give some element that size are
+    walked.  A poset with more elements than the family has members cannot
+    embed injectively, so it yields nothing before any plan is built, and
+    one with no size choice yields nothing before ``_plan``.
 
     Two stages per size tuple: commit every color to one set size (respecting
     the size order forced by inter-color relations), then assign elements in
@@ -199,18 +208,17 @@ def _embeddings(levels, pattern: _Pattern, mode: str):
     the twin is one of the incomparable elements, and filtering its old
     domain instead would undo the restriction.
     """
-    present = {s: level.present.bit_count() for s, level in levels.items()}
-    if pattern.poset.p > sum(present.values()):
+    if pattern.poset.p > sum([count for _, count in counts]):
         return
-    counts = tuple(sorted((s, min(count, pattern.cap)) for s, count in present.items() if count))
-    sizes = _size_tuples(pattern, counts)
+    cap = pattern.cap
+    sizes = _size_tuples(pattern, tuple([(s, c if c < cap else cap) for s, c in counts]), size)
     if sizes == ():
         return
     if pattern.plan is None:
         pattern.plan = _plan(pattern.poset)
     call = _Call(pattern.plan, mode == "induced")
-    for size in sizes:
-        call.level = [levels[s] for s in size]
+    for choice in sizes:
+        call.level = [levels[s] for s in choice]
         yield from _assign(call, 0, [level.present for level in call.level])
 
 
@@ -346,44 +354,51 @@ def _assign(call: _Call, pos: int, domains):
                 used.discard(mask)
 
 
-def _size_gen(pattern: _Pattern, counts, chosen: tuple[int, ...]):
+def _size_gen(pattern: _Pattern, counts, chosen: tuple[int, ...], size: int | None):
     """Every choice of one set size per color, in lexicographic order and
     given as the size of each element: color c takes a size with at least
-    class_size[c] members, above the sizes of the colors it must exceed."""
+    class_size[c] members, above the sizes of the colors it must exceed.
+    Given a ``size``, only the choices in which some color takes it."""
     c = len(chosen) + 1
     if c == len(pattern.class_size):
-        yield tuple(chosen[color - 1] for color in pattern.poset.colors)
+        if size is None or size in chosen:
+            yield tuple(chosen[color - 1] for color in pattern.poset.colors)
         return
     mine = pattern.of_color[c]
     floor = max((s for s, up in zip(chosen, pattern.above[1:]) if up & mine), default=-1)
-    for size, count in counts:
-        if size > floor and count >= pattern.class_size[c]:
-            yield from _size_gen(pattern, counts, (*chosen, size))
+    for s, count in counts:
+        if s > floor and count >= pattern.class_size[c]:
+            yield from _size_gen(pattern, counts, (*chosen, s), size)
 
 
-def _size_tuples(pattern: _Pattern, counts):
+def _size_tuples(pattern: _Pattern, counts, size: int | None = None):
     """``_size_gen``'s choices for the level counts (capped at the largest
-    class size: the choice depends on nothing else), memoized on the pattern
-    so the search's many small calls do not redo them.  Past SIZE_TUPLE_CACHE
+    class size: the choice depends on nothing else) and the ``size`` some
+    element must take, if any, memoized on the pattern under both so the
+    search's many small calls do not redo them.  Past SIZE_TUPLE_CACHE
     choices, which many unrelated colors can reach, the memo holds None and
     each call draws them lazily."""
-    sizes = pattern.sizes.get(counts)
-    if sizes is None and counts not in pattern.sizes:
-        sizes = tuple(islice(_size_gen(pattern, counts, ()), SIZE_TUPLE_CACHE + 1))
-        pattern.sizes[counts] = sizes = sizes if len(sizes) <= SIZE_TUPLE_CACHE else None
-    return _size_gen(pattern, counts, ()) if sizes is None else sizes
+    key = counts, size
+    sizes = pattern.sizes.get(key)
+    if sizes is None and key not in pattern.sizes:
+        sizes = tuple(islice(_size_gen(pattern, counts, (), size), SIZE_TUPLE_CACHE + 1))
+        pattern.sizes[key] = sizes = sizes if len(sizes) <= SIZE_TUPLE_CACHE else None
+    return _size_gen(pattern, counts, (), size) if sizes is None else sizes
 
 
-def _search(levels, pattern: _Pattern, mode: str):
+def _search(levels, pattern: _Pattern, mode: str, counts, size: int | None = None):
     """The first embedding's image masks, or None."""
-    return next(_embeddings(levels, pattern, mode), None)
+    return next(_embeddings(levels, pattern, mode, counts, size), None)
 
 
-def _hits_with_member(levels, patterns, mode: str) -> bool:
-    """True iff some config embeds into the family of the levels.  When that
-    family is an avoiding family plus one new set, every embedding must use
-    the new set, so this is also the incremental check for adding it."""
-    return any(_search(levels, pattern, mode) is not None for pattern in patterns)
+def _hits_with_member(levels, patterns, mode: str, new: Mask | None = None) -> bool:
+    """True iff some config embeds into the family of the levels, whose
+    present sets are counted once for all the patterns.  Given the ``new``
+    set, the family without it must be avoiding, or the answer may be
+    wrong: then every embedding uses ``new``, so only the size choices that
+    give some element its size are walked.  That is the incremental check."""
+    counts, size = _counts(levels), None if new is None else new.bit_count()
+    return any(_search(levels, pattern, mode, counts, size) is not None for pattern in patterns)
 
 
 def find_embedding(family, poset: ColoredPoset, mode: str = "standard") -> tuple[int, ...] | None:
@@ -396,7 +411,7 @@ def find_embedding(family, poset: ColoredPoset, mode: str = "standard") -> tuple
 
 def _witness(family, pattern: _Pattern, mode: str, levels) -> tuple[int, ...] | None:
     """``find_embedding`` over the question's levels."""
-    hit = _search(levels, pattern, mode)
+    hit = _search(levels, pattern, mode, _counts(levels))
     if hit is None:
         return None
     assignment = tuple(map(family.members.index, hit))
@@ -415,8 +430,8 @@ def count_embeddings(family, poset: ColoredPoset, mode: str = "standard") -> int
         raise ValueError(f"count_embeddings allows at most {COUNT_FAMILY_GUARD} members")
     if poset.p > COUNT_POSET_GUARD:
         raise ValueError(f"count_embeddings allows at most {COUNT_POSET_GUARD} poset elements")
-    pattern = _Pattern(poset)
-    count = sum(1 for _ in _embeddings(_levels(family), pattern, mode))
+    pattern, levels = _Pattern(poset), _levels(family)
+    count = sum(1 for _ in _embeddings(levels, pattern, mode, _counts(levels)))
     return count and count * pattern.plan.twin_factor  # no plan may exist for 0
 
 

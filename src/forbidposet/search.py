@@ -12,8 +12,9 @@ once |current| + 1 + |rest| cannot beat the incumbent.  An optional
 user-supplied exact theorem bound ends the search once the incumbent meets
 it.  A candidate is viable when the family stays avoiding with it added,
 and since the current family is always avoiding, any embedding must use the
-candidate, so ``addable`` asks the detector the plain question "does any
-configuration embed?" of the enlarged family.
+candidate.  So ``addable`` asks the detector whether any configuration
+embeds into the enlarged family and names the candidate, and the detector
+walks only the size choices that give some element the candidate's size.
 
 A child skips the recheck of a set d when d and the set c just included
 cannot both be images of one embedding.  Every d left in the loop is
@@ -54,6 +55,7 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import merge
+from itertools import islice
 from math import floor
 
 from .bounds import EXACT, BoundResult
@@ -184,7 +186,7 @@ class _Searcher:
 
     def addable(self, mask: Mask) -> bool:
         self.push(mask)
-        hit = _hits_with_member(self.levels, self.patterns, self.problem.mode)
+        hit = _hits_with_member(self.levels, self.patterns, self.problem.mode, mask)
         self.pop()
         return not hit
 
@@ -214,7 +216,7 @@ class _Searcher:
         atoms = [(1 << self.problem.n) - 1]
         for member in self.members:
             atoms = [cell for a in atoms for cell in (a & member, a & ~member) if cell]
-        return lambda m: tuple((m & a).bit_count() for a in atoms)
+        return lambda m: tuple(map(int.bit_count, map(m.__and__, atoms)))
 
     def branch(self, viable: list[Mask]) -> None:
         """Count a node at the current family, then include the first viable
@@ -229,12 +231,14 @@ class _Searcher:
             if len(self.members) + len(viable) <= self.best_size:
                 self.prunes += 1
                 return
-            c, rest = viable[0], viable[1:]
+            c = viable[0]
             self.push(c)
-            self.branch([d for d in rest if not self.can_share(c, d) or self.addable(d)])
+            self.branch(
+                [d for d in islice(viable, 1, None) if not self.can_share(c, d) or self.addable(d)]
+            )
             self.pop()
             k = key(c)
-            viable = [d for d in rest if key(d) != k]
+            viable = [d for d in islice(viable, 1, None) if key(d) != k]
 
     def run_root(self) -> str:
         """Search the whole tree and return the result status."""

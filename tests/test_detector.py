@@ -7,7 +7,7 @@ import weakref
 from dataclasses import replace
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from forbidposet import (
     ColoredPoset,
@@ -28,7 +28,7 @@ from forbidposet import (
     verify_embedding,
 )
 from forbidposet import detector, search
-from forbidposet.detector import _Pattern, _plan, _size_tuples
+from forbidposet.detector import _levels, _Pattern, _plan, _size_tuples
 
 from conftest import (
     brute_avoiding,
@@ -257,7 +257,7 @@ class TestCallState:
         pattern = _Pattern(poset)
         counts = tuple((s, 1) for s in range(5))
         assert inspect.isgenerator(_size_tuples(pattern, counts))
-        assert pattern.sizes == {counts: None}
+        assert pattern.sizes == {(counts, None): None}
         for mode in ("standard", "induced"):
             emb = find_embedding(fam, poset, mode)
             assert emb is not None and verify_embedding(fam, poset, mode, emb)
@@ -585,6 +585,39 @@ class TestRandomPosetOracle:
             assert is_avoiding(fam, cfg, mode) == is_avoiding(
                 complement_family(fam), cfg.dual(), mode
             )
+
+
+@st.composite
+def avoiding_plus_new(draw):
+    """A ConfigSet of one or two random posets, a mode, an avoiding family F
+    over [n], n <= 4, and a set d not in F.  F keeps each of up to seven
+    drawn sets that brute force says it can take, so d is sometimes a set
+    F turned away."""
+    n = draw(st.integers(1, 4))
+    cfg = ConfigSet(tuple(draw(st.lists(colored_posets(), min_size=1, max_size=2))))
+    mode = draw(st.sampled_from(MODES))
+    members = []
+    for mask in draw(st.permutations(range(1 << n)))[: draw(st.integers(0, 7))]:
+        if brute_avoiding(Family(n, members + [mask]), cfg, mode):
+            members.append(mask)
+    new = draw(st.sampled_from([m for m in range(1 << n) if m not in members] or [None]))
+    return n, cfg, mode, members, new
+
+
+class TestIncrementalQuestion:
+    """Told which set is new, the detector walks only the size choices that
+    give some element its size; on an avoiding family plus that set, the
+    answer is still brute force's."""
+
+    @ORACLE
+    @given(avoiding_plus_new())
+    def test_matches_brute_force(self, case):
+        n, cfg, mode, members, new = case
+        assume(new is not None)  # F took every set
+        fam = Family(n, members + [new])
+        patterns = tuple(map(_Pattern, cfg))
+        hit = detector._hits_with_member(_levels(fam), patterns, mode, new)
+        assert hit == (not brute_avoiding(fam, cfg, mode))
 
 
 @st.composite

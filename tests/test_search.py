@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -29,6 +30,7 @@ from forbidposet.search import (
     PROVEN_OPTIMAL,
     SearchProblem,
     _Searcher,
+    _Stop,
 )
 
 from conftest import (
@@ -446,6 +448,30 @@ class TestPairRoleSkip:
         res = exact_max_family(SearchProblem(n, build_named(parse_config_id(config))))
         assert (len(counted), res.nodes_explored, res.prunes) == (calls, nodes, prunes)
 
+    @pytest.mark.parametrize(
+        "config, n, entries",
+        [
+            ("kt_pair", 5, 9964),  # 11,704 asking the plain question
+            ("diamond(4)", 5, 3301),  # 3,669
+            ("butterfly_pair", 4, 6939),  # 10,063
+            ("j_config", 4, 1785),  # 1,834
+        ],
+    )
+    def test_assign_entries_pinned(self, monkeypatch, config, n, entries):
+        # addable tells the detector which set is new, so only the size
+        # choices that give some element its size are walked; the witness
+        # check's full pass is counted too
+        counted = []
+        assign = detector._assign
+
+        def counting(*args):
+            counted.append(None)
+            return assign(*args)
+
+        monkeypatch.setattr(detector, "_assign", counting)
+        exact_max_family(SearchProblem(n, build_named(parse_config_id(config))))
+        assert len(counted) == entries
+
 
 @st.composite
 def searcher_walks(draw):
@@ -547,6 +573,32 @@ class TestSearchRowCache:
         monkeypatch.setattr(detector, "_row", counting)
         exact_max_family(SearchProblem(n, build_named(parse_config_id(config))))
         assert len(built) == builds
+
+
+class TestBranchMemory:
+    def test_one_candidate_list_per_depth(self):
+        # the first 40 nodes of an n = 12 search dive one level each; from
+        # node 10 on, the traced peak may grow by one list of the 2^12
+        # candidates per node and what the detector adds, not by two lists
+        searcher = _Searcher(SearchProblem(12, build_named("kt_pair")))
+        peaks = []
+
+        def stop_at_node_40():
+            if searcher.nodes in (10, 40):
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            if searcher.nodes == 40:
+                raise _Stop(LOWER_BOUND_ONLY)
+
+        searcher.check_deadline = stop_at_node_40
+        tracemalloc.start()
+        try:
+            assert searcher.run_root() == LOWER_BOUND_ONLY
+        finally:
+            tracemalloc.stop()
+        assert len(searcher.members) == 39  # the dive: one node per depth
+        list_bytes = 8 << 12  # a pointer per candidate
+        # a list and its copy per depth, 2.0 lists a node, exceed the bound
+        assert peaks[1] - peaks[0] < 30 * 1.5 * list_bytes
 
 
 class TestVerifyWitness:
