@@ -70,6 +70,8 @@ def estimate_lubell(family: Family, trials: int, seed: int) -> ChainSampleReport
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if seed < 0:  # random.Random(-s) would replay the stream of s
+        raise ValueError(f"seed must be >= 0, got {seed}")
     n = family.n
     members = family.member_set
     top = max((s for s, masks in family.by_size.items() if len(masks) < binomial(n, s)), default=0)

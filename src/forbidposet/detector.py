@@ -5,12 +5,14 @@ related elements land on proper sub/supersets and equal colors land on sets
 of equal cardinality.  Induced mode additionally requires that containment
 between image sets only happens along poset relations.
 
-One generator core, ``_embeddings``, does the backtracking over size levels
-(set size -> the ``_Level`` of the members of that size).  It assigns colors
-in ascending order (each color commits to one set size, so the equal-size
-constraint becomes a loop over at most n+1 size values) and elements within
-a color together, and yields each embedding as the tuple of image masks.
-Finding one embedding takes the first item; counting exhausts the generator.
+One generator core, ``_assign``, does the backtracking over size levels
+(set size -> the ``_Level`` of the members of that size) for one choice of
+a set size per color (so the equal-size constraint becomes a loop over at
+most n+1 size values).  It assigns colors in ascending order and elements
+within a color together, and yields each embedding as the tuple of image
+masks.  ``_prepare`` sets a question up once; finding one embedding
+(``_search``) takes the first item over the size choices in a plain loop,
+and counting (``_embeddings``) exhausts them all.
 
 A candidate domain is a bitset over the positions of its element's size
 level, first its ``present`` members.  A placement ANDs the later domains
@@ -178,14 +180,27 @@ def _counts(levels) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(counts))
 
 
-def _embeddings(levels, pattern: _Pattern, mode: str, counts, size: int | None = None):
-    """Backtracking core: yield every embedding of the poset into the
-    family of the ``levels`` (size -> ``_Level``), each as the tuple of image
-    masks in element order; ``counts`` is ``_counts(levels)``.  Given a
-    ``size``, only the size choices that give some element that size are
-    walked.  A poset with more elements than the family has members cannot
-    embed injectively, so it yields nothing before any plan is built, and
-    one with no size choice yields nothing before ``_plan``.
+def _prepare(pattern: _Pattern, mode: str, counts, size: int | None):
+    """A question's size choices and call state, for the level ``counts``
+    and the ``size`` some element must take, if any.  A poset with more
+    elements than the family has members cannot embed injectively, nor one
+    with no size choice: both get no choices and no ``_plan``."""
+    if pattern.poset.p > sum([count for _, count in counts]):
+        return (), None
+    cap = pattern.cap
+    sizes = _size_tuples(pattern, tuple([(s, c if c < cap else cap) for s, c in counts]), size)
+    if sizes == ():
+        return (), None
+    if pattern.plan is None:
+        pattern.plan = _plan(pattern.poset)
+    return sizes, _Call(pattern.plan, mode == "induced")
+
+
+def _embeddings(levels, pattern: _Pattern, mode: str, counts):
+    """Yield every embedding of the poset into the family of the ``levels``
+    (size -> ``_Level``), each as the tuple of image masks in element order;
+    ``counts`` is ``_counts(levels)``.  ``_search`` walks the same size
+    choices in the same order and stops at the first.
 
     Two stages per size tuple: commit every color to one set size (respecting
     the size order forced by inter-color relations), then assign elements in
@@ -208,15 +223,7 @@ def _embeddings(levels, pattern: _Pattern, mode: str, counts, size: int | None =
     the twin is one of the incomparable elements, and filtering its old
     domain instead would undo the restriction.
     """
-    if pattern.poset.p > sum([count for _, count in counts]):
-        return
-    cap = pattern.cap
-    sizes = _size_tuples(pattern, tuple([(s, c if c < cap else cap) for s, c in counts]), size)
-    if sizes == ():
-        return
-    if pattern.plan is None:
-        pattern.plan = _plan(pattern.poset)
-    call = _Call(pattern.plan, mode == "induced")
+    sizes, call = _prepare(pattern, mode, counts, None)
     for choice in sizes:
         call.level = [levels[s] for s in choice]
         yield from _assign(call, 0, [level.present for level in call.level])
@@ -387,17 +394,26 @@ def _size_tuples(pattern: _Pattern, counts, size: int | None = None):
 
 
 def _search(levels, pattern: _Pattern, mode: str, counts, size: int | None = None):
-    """The first embedding's image masks, or None."""
-    return next(_embeddings(levels, pattern, mode, counts, size), None)
+    """The first embedding's image masks, or None: the first item
+    ``_assign`` yields over the size choices in turn (see ``_prepare``)."""
+    sizes, call = _prepare(pattern, mode, counts, size)
+    for choice in sizes:
+        call.level = [levels[s] for s in choice]
+        for hit in _assign(call, 0, [level.present for level in call.level]):
+            return hit
+    return None
 
 
-def _hits_with_member(levels, patterns, mode: str, new: Mask | None = None) -> bool:
+def _hits_with_member(levels, patterns, mode: str, new: Mask | None = None, counts=None) -> bool:
     """True iff some config embeds into the family of the levels, whose
-    present sets are counted once for all the patterns.  Given the ``new``
-    set, the family without it must be avoiding, or the answer may be
-    wrong: then every embedding uses ``new``, so only the size choices that
-    give some element its size are walked.  That is the incremental check."""
-    counts, size = _counts(levels), None if new is None else new.bit_count()
+    present sets are counted once for all the patterns unless the caller
+    holds their ``counts`` (as ``_counts(levels)``).  Given the ``new`` set,
+    the family without it must be avoiding, or the answer may be wrong: then
+    every embedding uses ``new``, so only the size choices that give some
+    element its size are walked.  That is the incremental check."""
+    if counts is None:
+        counts = _counts(levels)
+    size = None if new is None else new.bit_count()
     return any(_search(levels, pattern, mode, counts, size) is not None for pattern in patterns)
 
 

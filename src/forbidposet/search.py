@@ -30,7 +30,17 @@ The searcher holds one detector ``_Level`` per size with every candidate of
 that size, for the whole search, and the family is their ``present`` bits:
 ``push`` sets its set's bit, found by bisection in the ascending level, and
 ``pop`` clears it.  The rows over a level never go stale, so each level
-builds its slices at most once.
+builds its slices at most once.  The searcher also holds the number of
+members of each size: ``push`` and ``pop`` update the count of their set's
+size and keep the level counts the detector reads (``counts[-1]``, as
+``detector._counts`` would count them), so ``addable`` hands them over and
+no question recounts the present bits.
+
+A child stops filtering early when it would prune anyway.  With m members
+after including c, the child records itself and then prunes a non-empty
+list of at most max(best, m) - m sets, so once the filter has kept one set
+and the kept and the unscanned sets are no more than that, the kept prefix
+goes to the child instead: the same node, the same prune, fewer questions.
 
 Symmetry is only the choice of orbit key.  An embedding depends only on
 containment and cardinality, which every permutation of [n] preserves, so
@@ -173,20 +183,29 @@ class _Searcher:
             self.deadline = time.monotonic() + problem.time_limit
         self.candidates, by_size = _candidates(problem.n, problem.include_empty_and_full)
         self.levels = {s: _Level(tuple(sets), s, 0) for s, sets in by_size.items()}
+        self.size_counts = [0] * (problem.n + 1)  # members of each size
+        # detector._counts(levels) after each push, the empty family's first
+        self.counts: list[tuple[tuple[int, int], ...]] = [()]
 
     def push(self, mask: Mask) -> None:
-        level = self.levels[mask.bit_count()]
+        size = mask.bit_count()
+        level = self.levels[size]
         level.present |= 1 << bisect_left(level.members, mask)
         self.members.append(mask)
+        self.size_counts[size] += 1
+        self.counts.append(tuple([(s, c) for s, c in enumerate(self.size_counts) if c]))
 
     def pop(self) -> None:
         mask = self.members.pop()
-        level = self.levels[mask.bit_count()]
+        size = mask.bit_count()
+        level = self.levels[size]
         level.present &= ~(1 << bisect_left(level.members, mask))
+        self.size_counts[size] -= 1
+        self.counts.pop()
 
     def addable(self, mask: Mask) -> bool:
         self.push(mask)
-        hit = _hits_with_member(self.levels, self.patterns, self.problem.mode, mask)
+        hit = _hits_with_member(self.levels, self.patterns, self.problem.mode, mask, self.counts[-1])
         self.pop()
         return not hit
 
@@ -218,6 +237,21 @@ class _Searcher:
             atoms = [cell for a in atoms for cell in (a & member, a & ~member) if cell]
         return lambda m: tuple(map(int.bit_count, map(m.__and__, atoms)))
 
+    def child(self, c: Mask, viable: list[Mask]) -> list[Mask]:
+        """The viable sets of the child that includes c = viable[0], just
+        pushed, or a prefix of them when the child prunes either way.  The
+        child records itself first, so it prunes a non-empty list of at most
+        best_size - |members| sets; once the filter has kept one set and the
+        kept and unscanned sets are no more than that, it stops."""
+        slack, left, kept = self.best_size - len(self.members), len(viable) - 1, []
+        for d in islice(viable, 1, None):
+            left -= 1
+            if not self.can_share(c, d) or self.addable(d):
+                kept.append(d)
+            if kept and len(kept) + left <= slack:
+                break
+        return kept
+
     def branch(self, viable: list[Mask]) -> None:
         """Count a node at the current family, then include the first viable
         set of each orbit in turn, while the sets left could still beat the
@@ -233,9 +267,7 @@ class _Searcher:
                 return
             c = viable[0]
             self.push(c)
-            self.branch(
-                [d for d in islice(viable, 1, None) if not self.can_share(c, d) or self.addable(d)]
-            )
+            self.branch(self.child(c, viable))
             self.pop()
             k = key(c)
             viable = [d for d in islice(viable, 1, None) if key(d) != k]

@@ -205,6 +205,12 @@ class TestEstimateLubell:
         with pytest.raises(ValueError):
             estimate_lubell(Family(2, []), trials=0, seed=0)
 
+    def test_negative_seed_rejected(self):
+        # checked before the early return of a family with no partial level
+        for family in (Family(2, []), kt_construction(6)):
+            with pytest.raises(ValueError, match="seed must be >= 0, got -5"):
+                estimate_lubell(family, trials=10, seed=-5)
+
     def test_matches_reference_loop(self):
         # the full-level count and the two digit tables must leave every
         # figure of the per-trial reference unchanged, on families mixing

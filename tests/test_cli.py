@@ -378,6 +378,16 @@ class TestAuditCommand:
         assert code == 0 and (obj["mean"], obj["std_error"], obj["exact_target"]) == (1.0, 0.0, "1")
         assert obj["within_5_sigma"] is True
 
+    def test_lubell_negative_seed_rejected(self, capsys, tmp_path):
+        # random.Random seeds with the absolute value, so -5 would replay
+        # --seed 5 under a run record that says -5
+        path = write_family(tmp_path, kt_construction(6))
+        code, out, err = run_cli(
+            capsys, "audit", "lubell", "--family", path, "--trials", "100", "--seed", "-5"
+        )
+        assert (code, out) == (1, "")
+        assert err.splitlines() == ["error: seed must be >= 0, got -5"]
+
     def test_workers_flag_rejected(self, capsys, tmp_path):
         path = write_family(tmp_path, kt_construction(6))
         code, _, err = run_cli(capsys, "audit", "lubell", "--family", path, "--workers", "2")

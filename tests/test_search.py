@@ -430,13 +430,15 @@ class TestPairRoleSkip:
     @pytest.mark.parametrize(
         "config, n, calls, nodes, prunes",
         [
-            ("kt_pair", 5, 3378, 533, 523),  # 4,841 calls without the skip
+            ("kt_pair", 5, 2786, 533, 523),  # 4,841 calls without the skip
             ("diamond(4)", 5, 1978, 187, 185),  # 3,077 without it
-            ("butterfly_pair", 4, 1435, 228, 216),  # unrelated pairs of two colors:
-            ("j_config", 4, 891, 124, 113),  # every pair shareable, nothing skipped
+            ("butterfly_pair", 4, 1240, 228, 216),  # unrelated pairs of two colors:
+            ("j_config", 4, 794, 124, 113),  # every pair shareable, nothing skipped
         ],
     )
     def test_detector_calls_pinned(self, monkeypatch, config, n, calls, nodes, prunes):
+        # a child's filter stops once the child prunes either way; scanning
+        # every list in full made 3,378, 1,978, 1,435 and 891 calls
         counted = []
         hits = search._hits_with_member
 
@@ -451,10 +453,10 @@ class TestPairRoleSkip:
     @pytest.mark.parametrize(
         "config, n, entries",
         [
-            ("kt_pair", 5, 9964),  # 11,704 asking the plain question
-            ("diamond(4)", 5, 3301),  # 3,669
-            ("butterfly_pair", 4, 6939),  # 10,063
-            ("j_config", 4, 1785),  # 1,834
+            ("kt_pair", 5, 7983),  # 9,964 scanning every child's list in full
+            ("diamond(4)", 5, 3301),  # unchanged
+            ("butterfly_pair", 4, 5775),  # 6,939
+            ("j_config", 4, 1494),  # 1,785
         ],
     )
     def test_assign_entries_pinned(self, monkeypatch, config, n, entries):
@@ -471,6 +473,82 @@ class TestPairRoleSkip:
         monkeypatch.setattr(detector, "_assign", counting)
         exact_max_family(SearchProblem(n, build_named(parse_config_id(config))))
         assert len(counted) == entries
+
+
+class _EagerSearcher(_Searcher):
+    """Builds every child's whole list of viable sets, with no early stop."""
+
+    def child(self, c, viable):
+        rest = itertools.islice(viable, 1, None)
+        return [d for d in rest if not self.can_share(c, d) or self.addable(d)]
+
+
+class TestChildEarlyStop:
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(st.integers(1, 4), st.lists(colored_posets(), min_size=1, max_size=2))
+    def test_same_tree_as_the_whole_list(self, n, posets):
+        # the child filter stops once the child prunes either way, so the
+        # child counts the same node and prune: the tree does not change
+        cfg = ConfigSet(tuple(posets))
+        for mode in ("standard", "induced"):
+            for symmetry in (True, False):
+                problem = SearchProblem(n=n, configs=cfg, mode=mode, symmetry=symmetry)
+                res = exact_max_family(problem)
+                eager = _EagerSearcher(problem)
+                status = eager.run_root()
+                got = (res.best_size, res.status, res.witness.members, res.nodes_explored, res.prunes)
+                want = (eager.best_size, status, eager.best_members, eager.nodes, eager.prunes)
+                assert got == want, (mode, symmetry)
+
+    @pytest.mark.parametrize(
+        "verdicts, kept, asked",
+        [
+            ((True, False, True), [0b0110], 2),  # 1 kept + 1 unscanned <= 2
+            ((False, False, False), [], 3),  # an empty list prunes nothing
+        ],
+    )
+    def test_stops_once_the_child_prunes(self, monkeypatch, verdicts, kept, asked):
+        # 3 members with c pushed and best 5: the child prunes a non-empty
+        # list of at most 2 sets
+        searcher = _Searcher(SearchProblem(4, build_named("kt_pair")))
+        searcher.best_size = 5
+        for mask in (0b0011, 0b0101, 0b1001):
+            searcher.push(mask)
+        rest = [0b0110, 0b1010, 0b1100]
+        answers = dict(zip(rest, verdicts))
+        seen = []
+        monkeypatch.setattr(searcher, "addable", lambda d: seen.append(d) or answers[d])
+        monkeypatch.setattr(searcher, "can_share", lambda c, d: True)
+        assert searcher.child(0b1001, [0b1001, *rest]) == kept
+        assert seen == rest[:asked]
+
+
+def test_traced_boundaries_stay_on_the_hot_path(monkeypatch):
+    # the benchmark's tracer wraps search._hits_with_member and
+    # detector._search where their callers look them up; every addable
+    # check must pass through the first, and each such call through the second
+    checks, calls, searched = [], [], []
+    addable, hits, find = _Searcher.addable, search._hits_with_member, detector._search
+
+    def counting_addable(self, mask):
+        checks.append(mask)
+        return addable(self, mask)
+
+    def counting_hits(*args):
+        calls.append(len(searched))
+        return hits(*args)
+
+    def counting_search(*args):
+        searched.append(None)
+        return find(*args)
+
+    monkeypatch.setattr(_Searcher, "addable", counting_addable)
+    monkeypatch.setattr(search, "_hits_with_member", counting_hits)
+    monkeypatch.setattr(detector, "_search", counting_search)
+    exact_max_family(SearchProblem(4, build_named("kt_pair")))
+    assert len(calls) == len(checks) > 0
+    # each call's first _search comes before the next call starts
+    assert all(a < b for a, b in zip(calls, [*calls[1:], len(searched)]))
 
 
 @st.composite
@@ -511,9 +589,14 @@ class TestSearchRowCache:
             elif kind == "pop":
                 searcher.pop()
             else:
-                family = Family(problem.n, [*searcher.members, mask])
-                fresh = is_avoiding(family, problem.configs, problem.mode)
-                assert searcher.addable(mask) is fresh
+                # addable names the new set to the detector, which answers
+                # right only on an avoiding family, as the search's always is
+                added = searcher.addable(mask)
+                if is_avoiding(Family(problem.n, searcher.members), problem.configs, problem.mode):
+                    family = Family(problem.n, [*searcher.members, mask])
+                    assert added is is_avoiding(family, problem.configs, problem.mode)
+            # the searcher's level counts are the ones the detector counts
+            assert searcher.counts[-1] == detector._counts(searcher.levels)
             # the levels are the same objects all along, each holds every
             # set of its size in ascending order, its present bits are the
             # family's members of that size, and every row and slice it
