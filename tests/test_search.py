@@ -427,52 +427,81 @@ class TestPairRoleSkip:
                     for i, j in itertools.permutations(combo, 2):
                         assert searcher.can_share(masks[i], masks[j]), (mode, masks[i], masks[j])
 
-    @pytest.mark.parametrize(
-        "config, n, calls, nodes, prunes",
-        [
-            ("kt_pair", 5, 2786, 533, 523),  # 4,841 calls without the skip
-            ("diamond(4)", 5, 1978, 187, 185),  # 3,077 without it
-            ("butterfly_pair", 4, 1240, 228, 216),  # unrelated pairs of two colors:
-            ("j_config", 4, 794, 124, 113),  # every pair shareable, nothing skipped
-        ],
-    )
-    def test_detector_calls_pinned(self, monkeypatch, config, n, calls, nodes, prunes):
-        # a child's filter stops once the child prunes either way; scanning
-        # every list in full made 3,378, 1,978, 1,435 and 891 calls
+    @staticmethod
+    def _count(monkeypatch, module, name, config, n, eager):
+        # counts calls of module.name over one exact search; eager runs the
+        # search with every child's list of viable sets scanned in full
         counted = []
-        hits = search._hits_with_member
+        wrapped = getattr(module, name)
 
         def counting(*args):
             counted.append(None)
-            return hits(*args)
+            return wrapped(*args)
 
-        monkeypatch.setattr(search, "_hits_with_member", counting)
+        monkeypatch.setattr(module, name, counting)
+        if eager:
+            monkeypatch.setattr(search, "_Searcher", _EagerSearcher)
         res = exact_max_family(SearchProblem(n, build_named(parse_config_id(config))))
-        assert (len(counted), res.nodes_explored, res.prunes) == (calls, nodes, prunes)
+        return len(counted), res
+
+    @pytest.mark.parametrize(
+        "config, n, calls, nodes, prunes",
+        [
+            ("kt_pair", 5, 3378, 533, 523),  # 4,841 calls without the skip
+            ("diamond(4)", 5, 1978, 187, 185),  # 3,077 without it
+            ("butterfly_pair", 4, 1435, 228, 216),  # unrelated pairs of two colors:
+            ("j_config", 4, 891, 124, 113),  # every pair shareable, nothing skipped
+        ],
+    )
+    def test_detector_calls_pinned(self, monkeypatch, config, n, calls, nodes, prunes):
+        # every child's list scanned in full, as before the early stop
+        count, res = self._count(monkeypatch, search, "_hits_with_member", config, n, True)
+        assert (count, res.nodes_explored, res.prunes) == (calls, nodes, prunes)
+
+    @pytest.mark.parametrize(
+        "config, n, calls, nodes, prunes",
+        [
+            ("kt_pair", 5, 2786, 533, 523),
+            ("diamond(4)", 5, 1978, 187, 185),
+            ("butterfly_pair", 4, 1240, 228, 216),
+            ("j_config", 4, 794, 124, 113),
+        ],
+    )
+    def test_early_stop_detector_calls_pinned(self, monkeypatch, config, n, calls, nodes, prunes):
+        # a child's filter stops once the child prunes either way: fewer
+        # calls than the full scan above, the same nodes and prunes
+        count, res = self._count(monkeypatch, search, "_hits_with_member", config, n, False)
+        assert (count, res.nodes_explored, res.prunes) == (calls, nodes, prunes)
 
     @pytest.mark.parametrize(
         "config, n, entries",
         [
-            ("kt_pair", 5, 7983),  # 9,964 scanning every child's list in full
-            ("diamond(4)", 5, 3301),  # unchanged
-            ("butterfly_pair", 4, 5775),  # 6,939
-            ("j_config", 4, 1494),  # 1,785
+            ("kt_pair", 5, 9964),
+            ("diamond(4)", 5, 3301),
+            ("butterfly_pair", 4, 6939),
+            ("j_config", 4, 1785),
         ],
     )
     def test_assign_entries_pinned(self, monkeypatch, config, n, entries):
         # addable tells the detector which set is new, so only the size
         # choices that give some element its size are walked; the witness
-        # check's full pass is counted too
-        counted = []
-        assign = detector._assign
+        # check's full pass is counted too; every child's list in full
+        count, _ = self._count(monkeypatch, detector, "_assign", config, n, True)
+        assert count == entries
 
-        def counting(*args):
-            counted.append(None)
-            return assign(*args)
-
-        monkeypatch.setattr(detector, "_assign", counting)
-        exact_max_family(SearchProblem(n, build_named(parse_config_id(config))))
-        assert len(counted) == entries
+    @pytest.mark.parametrize(
+        "config, n, entries",
+        [
+            ("kt_pair", 5, 7983),
+            ("diamond(4)", 5, 3301),
+            ("butterfly_pair", 4, 5775),
+            ("j_config", 4, 1494),
+        ],
+    )
+    def test_early_stop_assign_entries_pinned(self, monkeypatch, config, n, entries):
+        # the same count with the child's filter stopping early
+        count, _ = self._count(monkeypatch, detector, "_assign", config, n, False)
+        assert count == entries
 
 
 class _EagerSearcher(_Searcher):
