@@ -244,7 +244,7 @@ NAMED_CONFIGS = ("kt_pair", "fork", "baton", "butterfly_pair", "j_config", "diam
 
 def parse_config_id(text: str) -> ConfigId:
     """Parse "name" or "name(p1,p2,...)"."""
-    m = re.fullmatch(r"\s*([a-z_]+)\s*(?:\(\s*([0-9,\s]*)\s*\))?\s*", text)
+    m = re.fullmatch(r"\s*([a-z_]+)\s*(?:\(\s*((?:[0-9]+\s*,\s*)*[0-9]+)?\s*\))?\s*", text)
     if not m:
         raise ValueError(f"bad config id {text!r}")
     name = m.group(1)

@@ -74,7 +74,7 @@ class _Pattern:
     color reaching above into c), built in one pass over the rows.  That
     turns away a poset with no size choice before ``_plan``, quadratic in
     its size; ``plan`` holds it once built, ``sizes`` the size choices by
-    (level counts, size some element must take or None)."""
+    the level counts, capped at ``cap``."""
 
     __slots__ = ("poset", "class_size", "cap", "of_color", "above", "plan", "sizes")
 
@@ -180,15 +180,15 @@ def _counts(levels) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(counts))
 
 
-def _prepare(pattern: _Pattern, mode: str, counts, size: int | None):
-    """A question's size choices and call state, for the level ``counts``
-    and the ``size`` some element must take, if any.  A poset with more
-    elements than the family has members cannot embed injectively, nor one
-    with no size choice: both get no choices and no ``_plan``."""
+def _prepare(pattern: _Pattern, mode: str, counts):
+    """A question's size choices and call state, for the level ``counts``.
+    A poset with more elements than the family has members cannot embed
+    injectively, nor one with no size choice: both get no choices and no
+    ``_plan``."""
     if pattern.poset.p > sum([count for _, count in counts]):
         return (), None
     cap = pattern.cap
-    sizes = _size_tuples(pattern, tuple([(s, c if c < cap else cap) for s, c in counts]), size)
+    sizes = _size_tuples(pattern, tuple([(s, c if c < cap else cap) for s, c in counts]))
     if sizes == ():
         return (), None
     if pattern.plan is None:
@@ -223,7 +223,7 @@ def _embeddings(levels, pattern: _Pattern, mode: str, counts):
     the twin is one of the incomparable elements, and filtering its old
     domain instead would undo the restriction.
     """
-    sizes, call = _prepare(pattern, mode, counts, None)
+    sizes, call = _prepare(pattern, mode, counts)
     for choice in sizes:
         call.level = [levels[s] for s in choice]
         yield from _assign(call, 0, [level.present for level in call.level])
@@ -361,58 +361,55 @@ def _assign(call: _Call, pos: int, domains):
                 used.discard(mask)
 
 
-def _size_gen(pattern: _Pattern, counts, chosen: tuple[int, ...], size: int | None):
+def _size_gen(pattern: _Pattern, counts, chosen: tuple[int, ...]):
     """Every choice of one set size per color, in lexicographic order and
     given as the size of each element: color c takes a size with at least
-    class_size[c] members, above the sizes of the colors it must exceed.
-    Given a ``size``, only the choices in which some color takes it."""
+    class_size[c] members, above the sizes of the colors it must exceed."""
     c = len(chosen) + 1
     if c == len(pattern.class_size):
-        if size is None or size in chosen:
-            yield tuple(chosen[color - 1] for color in pattern.poset.colors)
+        yield tuple(chosen[color - 1] for color in pattern.poset.colors)
         return
     mine = pattern.of_color[c]
     floor = max((s for s, up in zip(chosen, pattern.above[1:]) if up & mine), default=-1)
     for s, count in counts:
         if s > floor and count >= pattern.class_size[c]:
-            yield from _size_gen(pattern, counts, (*chosen, s), size)
+            yield from _size_gen(pattern, counts, (*chosen, s))
 
 
-def _size_tuples(pattern: _Pattern, counts, size: int | None = None):
-    """``_size_gen``'s choices for the level counts (capped at the largest
-    class size: the choice depends on nothing else) and the ``size`` some
-    element must take, if any, memoized on the pattern under both so the
-    search's many small calls do not redo them.  Past SIZE_TUPLE_CACHE
-    choices, which many unrelated colors can reach, the memo holds None and
-    each call draws them lazily."""
-    key = counts, size
-    sizes = pattern.sizes.get(key)
-    if sizes is None and key not in pattern.sizes:
-        sizes = tuple(islice(_size_gen(pattern, counts, (), size), SIZE_TUPLE_CACHE + 1))
-        pattern.sizes[key] = sizes = sizes if len(sizes) <= SIZE_TUPLE_CACHE else None
-    return _size_gen(pattern, counts, (), size) if sizes is None else sizes
+def _size_tuples(pattern: _Pattern, counts):
+    """``_size_gen``'s choices for the level counts, capped at the largest
+    class size (the choice depends on nothing else), memoized on the pattern
+    under them so the search's many small calls do not redo them.  Past
+    SIZE_TUPLE_CACHE choices, which many unrelated colors can reach, the memo
+    holds None and each call draws them lazily."""
+    sizes = pattern.sizes.get(counts)
+    if sizes is None and counts not in pattern.sizes:
+        sizes = tuple(islice(_size_gen(pattern, counts, ()), SIZE_TUPLE_CACHE + 1))
+        pattern.sizes[counts] = sizes = sizes if len(sizes) <= SIZE_TUPLE_CACHE else None
+    return _size_gen(pattern, counts, ()) if sizes is None else sizes
 
 
 def _search(levels, pattern: _Pattern, mode: str, counts, size: int | None = None):
     """The first embedding's image masks, or None: the first item
-    ``_assign`` yields over the size choices in turn (see ``_prepare``)."""
-    sizes, call = _prepare(pattern, mode, counts, size)
+    ``_assign`` yields over the size choices in turn (see ``_prepare``).
+    Given a ``size``, it skips the choices in which no element takes it."""
+    sizes, call = _prepare(pattern, mode, counts)
     for choice in sizes:
+        if size is not None and size not in choice:
+            continue
         call.level = [levels[s] for s in choice]
         for hit in _assign(call, 0, [level.present for level in call.level]):
             return hit
     return None
 
 
-def _hits_with_member(levels, patterns, mode: str, new: Mask | None = None, counts=None) -> bool:
+def _hits_with_member(levels, patterns, mode: str, new: Mask | None = None) -> bool:
     """True iff some config embeds into the family of the levels, whose
-    present sets are counted once for all the patterns unless the caller
-    holds their ``counts`` (as ``_counts(levels)``).  Given the ``new`` set,
-    the family without it must be avoiding, or the answer may be wrong: then
-    every embedding uses ``new``, so only the size choices that give some
-    element its size are walked.  That is the incremental check."""
-    if counts is None:
-        counts = _counts(levels)
+    present sets are counted once for all the patterns.  Given the ``new``
+    set, the family without it must be avoiding, or the answer may be wrong:
+    then every embedding uses ``new``, so only the size choices that give
+    some element its size are walked.  That is the incremental check."""
+    counts = _counts(levels)
     size = None if new is None else new.bit_count()
     return any(_search(levels, pattern, mode, counts, size) is not None for pattern in patterns)
 

@@ -30,11 +30,7 @@ The searcher holds one detector ``_Level`` per size with every candidate of
 that size, for the whole search, and the family is their ``present`` bits:
 ``push`` sets its set's bit, found by bisection in the ascending level, and
 ``pop`` clears it.  The rows over a level never go stale, so each level
-builds its slices at most once.  The searcher also holds the number of
-members of each size: ``push`` and ``pop`` update the count of their set's
-size and keep the level counts the detector reads (``counts[-1]``, as
-``detector._counts`` would count them), so ``addable`` hands them over and
-no question recounts the present bits.
+builds its slices at most once.
 
 A child stops filtering early when it would prune anyway.  With m members
 after including c, the child records itself and then prunes a non-empty
@@ -183,29 +179,20 @@ class _Searcher:
             self.deadline = time.monotonic() + problem.time_limit
         self.candidates, by_size = _candidates(problem.n, problem.include_empty_and_full)
         self.levels = {s: _Level(tuple(sets), s, 0) for s, sets in by_size.items()}
-        self.size_counts = [0] * (problem.n + 1)  # members of each size
-        # detector._counts(levels) after each push, the empty family's first
-        self.counts: list[tuple[tuple[int, int], ...]] = [()]
 
     def push(self, mask: Mask) -> None:
-        size = mask.bit_count()
-        level = self.levels[size]
+        level = self.levels[mask.bit_count()]
         level.present |= 1 << bisect_left(level.members, mask)
         self.members.append(mask)
-        self.size_counts[size] += 1
-        self.counts.append(tuple([(s, c) for s, c in enumerate(self.size_counts) if c]))
 
     def pop(self) -> None:
         mask = self.members.pop()
-        size = mask.bit_count()
-        level = self.levels[size]
+        level = self.levels[mask.bit_count()]
         level.present &= ~(1 << bisect_left(level.members, mask))
-        self.size_counts[size] -= 1
-        self.counts.pop()
 
     def addable(self, mask: Mask) -> bool:
         self.push(mask)
-        hit = _hits_with_member(self.levels, self.patterns, self.problem.mode, mask, self.counts[-1])
+        hit = _hits_with_member(self.levels, self.patterns, self.problem.mode, mask)
         self.pop()
         return not hit
 

@@ -208,6 +208,12 @@ class TestCheckCommand:
         )
         assert code == 0 and json.loads(out)["avoiding"] is True
 
+    def test_empty_config_parameter_is_domain_error(self, capsys, tmp_path):
+        path = write_family(tmp_path, Family.from_sets(2, [[1]]))
+        code, out, err = run_cli(capsys, "check", "--family", path, "--config", "fork(,)")
+        assert code == 1 and out == ""
+        assert err == "error: bad config id 'fork(,)'\n"
+
     def test_missing_file_is_domain_error(self, capsys):
         code, _, err = run_cli(capsys, "check", "--family", "/nope.txt", "--config", "kt_pair")
         assert code == 1

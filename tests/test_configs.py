@@ -337,6 +337,16 @@ class TestConfigIds:
         with pytest.raises(ValueError):
             parse_config_id("")
 
+    @pytest.mark.parametrize("text", ["fork(,)", "fork(1,,2)", "diamond(4,)"])
+    def test_parse_rejects_empty_parameters(self, text):
+        with pytest.raises(ValueError) as info:
+            parse_config_id(text)
+        assert str(info.value) == f"bad config id {text!r}"
+
+    def test_parse_keeps_spacing_and_empty_parentheses(self):
+        assert parse_config_id("fork()") == ConfigId("fork")
+        assert parse_config_id(" fork( 3 ) ") == ConfigId("fork", (3,))
+
     def test_build_from_id(self):
         assert build_named(ConfigId("diamond", (4,))) == build_named("diamond", 4)
 

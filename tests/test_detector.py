@@ -5,6 +5,7 @@ import random
 import time
 import weakref
 from dataclasses import replace
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -257,7 +258,7 @@ class TestCallState:
         pattern = _Pattern(poset)
         counts = tuple((s, 1) for s in range(5))
         assert inspect.isgenerator(_size_tuples(pattern, counts))
-        assert pattern.sizes == {(counts, None): None}
+        assert pattern.sizes == {counts: None}
         for mode in ("standard", "induced"):
             emb = find_embedding(fam, poset, mode)
             assert emb is not None and verify_embedding(fam, poset, mode, emb)
@@ -617,6 +618,20 @@ class TestIncrementalQuestion:
         fam = Family(n, members + [new])
         patterns = tuple(map(_Pattern, cfg))
         hit = detector._hits_with_member(_levels(fam), patterns, mode, new)
+        assert hit == (not brute_avoiding(fam, cfg, mode))
+
+    @ORACLE
+    @given(avoiding_plus_new())
+    def test_matches_brute_force_on_lazy_sizes(self, case):
+        # no size list is memoized, so the new set's size filters choices
+        # as _size_gen draws them
+        n, cfg, mode, members, new = case
+        assume(new is not None)
+        fam = Family(n, members + [new])
+        patterns = tuple(map(_Pattern, cfg))
+        with patch.object(detector, "SIZE_TUPLE_CACHE", 0):
+            hit = detector._hits_with_member(_levels(fam), patterns, mode, new)
+        assert all(sizes in (None, ()) for p in patterns for sizes in p.sizes.values())
         assert hit == (not brute_avoiding(fam, cfg, mode))
 
 
