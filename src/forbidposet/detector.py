@@ -10,9 +10,8 @@ One generator core, ``_assign``, does the backtracking over size levels
 a set size per color (so the equal-size constraint becomes a loop over at
 most n+1 size values).  It assigns colors in ascending order and elements
 within a color together, and yields each embedding as the tuple of image
-masks.  ``_prepare`` sets a question up once; finding one embedding
-(``_search``) takes the first item over the size choices in a plain loop,
-and counting (``_embeddings``) exhausts them all.
+masks.  ``_embeddings`` is the one walk over the size choices: finding one
+embedding (``_search``) takes its first item, and counting exhausts it.
 
 A candidate domain is a bitset over the positions of its element's size
 level, first its ``present`` members.  A placement ANDs the later domains
@@ -47,7 +46,7 @@ from itertools import islice, permutations
 from math import factorial, prod
 from typing import NamedTuple
 
-from .configs import ColoredPoset, ConfigSet
+from .configs import ColoredPoset, ConfigSet, require_valid
 from .lattice import Mask, set_bits, transpose
 
 COUNT_FAMILY_GUARD = 4096
@@ -136,6 +135,7 @@ def _check_mode(mode: str) -> None:
 def verify_embedding(family, poset: ColoredPoset, mode: str, assignment) -> bool:
     """Independent full re-check of every embedding invariant."""
     _check_mode(mode)
+    require_valid(poset)
     assignment = tuple(assignment)
     p = poset.p
     if len(assignment) != p or len(set(assignment)) != p:
@@ -180,27 +180,14 @@ def _counts(levels) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(counts))
 
 
-def _prepare(pattern: _Pattern, mode: str, counts):
-    """A question's size choices and call state, for the level ``counts``.
-    A poset with more elements than the family has members cannot embed
-    injectively, nor one with no size choice: both get no choices and no
-    ``_plan``."""
-    if pattern.poset.p > sum([count for _, count in counts]):
-        return (), None
-    cap = pattern.cap
-    sizes = _size_tuples(pattern, tuple([(s, c if c < cap else cap) for s, c in counts]))
-    if sizes == ():
-        return (), None
-    if pattern.plan is None:
-        pattern.plan = _plan(pattern.poset)
-    return sizes, _Call(pattern.plan, mode == "induced")
-
-
-def _embeddings(levels, pattern: _Pattern, mode: str, counts):
+def _embeddings(levels, pattern: _Pattern, mode: str, counts, size: int | None = None):
     """Yield every embedding of the poset into the family of the ``levels``
     (size -> ``_Level``), each as the tuple of image masks in element order;
-    ``counts`` is ``_counts(levels)``.  ``_search`` walks the same size
-    choices in the same order and stops at the first.
+    ``counts`` is ``_counts(levels)``.  Given a ``size``, only the size
+    choices in which some element takes it are walked.  A poset with more
+    elements than the family has members cannot embed injectively and gets
+    no choices; the ``_plan`` and the call state are built at the first
+    choice walked, so a question with none builds neither.
 
     Two stages per size tuple: commit every color to one set size (respecting
     the size order forced by inter-color relations), then assign elements in
@@ -223,8 +210,16 @@ def _embeddings(levels, pattern: _Pattern, mode: str, counts):
     the twin is one of the incomparable elements, and filtering its old
     domain instead would undo the restriction.
     """
-    sizes, call = _prepare(pattern, mode, counts)
-    for choice in sizes:
+    if pattern.poset.p > sum([count for _, count in counts]):
+        return
+    cap, call = pattern.cap, None
+    for choice in _size_tuples(pattern, tuple([(s, c if c < cap else cap) for s, c in counts])):
+        if size is not None and size not in choice:
+            continue
+        if call is None:
+            if pattern.plan is None:
+                pattern.plan = _plan(pattern.poset)
+            call = _Call(pattern.plan, mode == "induced")
         call.level = [levels[s] for s in choice]
         yield from _assign(call, 0, [level.present for level in call.level])
 
@@ -390,17 +385,8 @@ def _size_tuples(pattern: _Pattern, counts):
 
 
 def _search(levels, pattern: _Pattern, mode: str, counts, size: int | None = None):
-    """The first embedding's image masks, or None: the first item
-    ``_assign`` yields over the size choices in turn (see ``_prepare``).
-    Given a ``size``, it skips the choices in which no element takes it."""
-    sizes, call = _prepare(pattern, mode, counts)
-    for choice in sizes:
-        if size is not None and size not in choice:
-            continue
-        call.level = [levels[s] for s in choice]
-        for hit in _assign(call, 0, [level.present for level in call.level]):
-            return hit
-    return None
+    """The first embedding's image masks, or None: ``_embeddings``' first item."""
+    return next(_embeddings(levels, pattern, mode, counts, size), None)
 
 
 def _hits_with_member(levels, patterns, mode: str, new: Mask | None = None) -> bool:
@@ -419,6 +405,7 @@ def find_embedding(family, poset: ColoredPoset, mode: str = "standard") -> tuple
     element -> index into family.members), or None.  The witness is
     re-verified against all invariants before return."""
     _check_mode(mode)
+    require_valid(poset)
     return _witness(family, _Pattern(poset), mode, _levels(family))
 
 
@@ -443,6 +430,7 @@ def count_embeddings(family, poset: ColoredPoset, mode: str = "standard") -> int
         raise ValueError(f"count_embeddings allows at most {COUNT_FAMILY_GUARD} members")
     if poset.p > COUNT_POSET_GUARD:
         raise ValueError(f"count_embeddings allows at most {COUNT_POSET_GUARD} poset elements")
+    require_valid(poset)
     pattern, levels = _Pattern(poset), _levels(family)
     count = sum(1 for _ in _embeddings(levels, pattern, mode, _counts(levels)))
     return count and count * pattern.plan.twin_factor  # no plan may exist for 0

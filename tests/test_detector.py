@@ -355,6 +355,33 @@ class TestCountEmbeddings:
                     ), (label, mode, fam.sets())
 
 
+# Directly constructed posets are not validated; each breaks one invariant.
+INVALID_POSETS = {
+    "self-loop": ColoredPoset(1, (0b1,), (1,)),
+    "cycle": ColoredPoset(2, (0b10, 0b01), (1, 2)),
+    "color 0": ColoredPoset(1, (0,), (0,)),
+    "unclosed": ColoredPoset(3, (0b010, 0b100, 0), (1, 2, 3)),
+    "not order-preserving": ColoredPoset(2, (0b10, 0), (2, 1)),
+    "unused color": ColoredPoset(1, (0,), (2,)),
+}
+BARE_POSET_ENTRY_POINTS = {
+    "find_embedding": find_embedding,
+    "count_embeddings": count_embeddings,
+    "verify_embedding": lambda fam, poset: verify_embedding(
+        fam, poset, "standard", tuple(range(poset.p))
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(BARE_POSET_ENTRY_POINTS))
+@pytest.mark.parametrize("invalid", sorted(INVALID_POSETS))
+def test_bare_poset_entry_points_reject_invalid_posets(entry, invalid):
+    # these take a bare poset, which no ConfigSet has validated; the
+    # detector's walk assumes a valid one
+    with pytest.raises(ValueError, match=r"invalid colored poset \("):
+        BARE_POSET_ENTRY_POINTS[entry](Family(3, [1, 3, 7, 2]), INVALID_POSETS[invalid])
+
+
 class TestCountAwareSupport:
     """A class of k interchangeable elements needs k candidates related to
     its common neighbours; instances with exactly k, and with one fewer."""

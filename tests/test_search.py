@@ -503,6 +503,21 @@ class TestPairRoleSkip:
         count, _ = self._count(monkeypatch, detector, "_assign", config, n, False)
         assert count == entries
 
+    @pytest.mark.parametrize(
+        "config, n, builds",
+        [
+            ("kt_pair", 5, 3584),
+            ("diamond(4)", 5, 1173),
+            ("butterfly_pair", 4, 1538),
+            ("j_config", 4, 372),
+        ],
+    )
+    def test_call_state_builds_pinned(self, monkeypatch, config, n, builds):
+        # a question builds its call state at the first size choice it
+        # walks, so one whose choices all miss the new set's size builds none
+        count, _ = self._count(monkeypatch, detector, "_Call", config, n, False)
+        assert count == builds
+
 
 class _EagerSearcher(_Searcher):
     """Builds every child's whole list of viable sets, with no early stop."""
