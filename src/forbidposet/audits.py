@@ -73,11 +73,11 @@ def estimate_lubell(family: Family, trials: int, seed: int) -> ChainSampleReport
     if seed < 0:  # random.Random(-s) would replay the stream of s
         raise ValueError(f"seed must be >= 0, got {seed}")
     n = family.n
-    members = family.member_set
     top = max((s for s, masks in family.by_size.items() if len(masks) < binomial(n, s)), default=0)
-    base = (0 in members) + sum(s > top for s in family.by_size)
+    base = (0 in family.by_size) + sum(s > top for s in family.by_size)  # size 0 holds only ∅
     if not top:
         return ChainSampleReport(trials, float(base), 0.0, lubell(family))
+    members = family.member_set
     radices = range(n, n - top, -1)  # one digit per prefix size 1..top
     budget = min(1 << 14, trials)
     j = 0
@@ -181,7 +181,7 @@ def audit_fork_lambda(family: Family, s: int) -> ForkBandReport:
     n = family.n
     k = tail_k(n)
     half = Fraction(n, 2)
-    band = family.restrict_sizes(half - k, half + k)
+    band = Family(n, (m for m in family.members if half - k <= m.bit_count() <= half + k))
     lam = lubell(band)
     main = 1 + Fraction(2 * (s - 1), n)
     if lam <= main or k == 0:

@@ -45,12 +45,12 @@ def _sets(masks) -> list[list[int]]:
 
 
 def _read_input(path: str) -> tuple[str, dict]:
-    """File text plus its run-record digest."""
+    """File text, less a leading UTF-8 BOM, plus the digest of its bytes."""
     import hashlib  # loads OpenSSL: only commands that read a file pay for it
 
     with open(path, "rb") as fh:
         data = fh.read()
-    return data.decode("utf-8"), {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
+    return data.decode("utf-8-sig"), {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
 
 
 def _load_family(path: str) -> tuple[Family, dict]:
@@ -145,7 +145,7 @@ def _cmd_construct(args, parser):
 
 
 def _construct_text(obj) -> list[str]:
-    return obj["family"].to_text().splitlines()
+    return [obj["family"].to_text()[:-1]]  # one string; print adds back the last newline
 
 
 def _cmd_check(args, parser):
@@ -423,8 +423,7 @@ def main(argv=None) -> int:
         if args.format == "structured":
             print(json.dumps(obj, default=_json_default))
         else:
-            for line in text_lines(obj):
-                print(line)
+            print("\n".join(text_lines(obj)))
         sys.stdout.flush()
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2

@@ -3,7 +3,7 @@ two-level family, and the middle-band family for size-restricted diamonds."""
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
 
 from .lattice import Family, binomial, ground_mask
 
@@ -27,10 +27,7 @@ def middle_levels(n: int, r: int) -> Family:
     hi = (n + r + 1) // 2 - 1
     _check_size(f"middle_levels({n}, {r})", sum(binomial(n, s) for s in range(lo, hi + 1)))
     bits = [1 << i for i in range(n)]
-    masks = []
-    for size in range(lo, hi + 1):
-        masks += map(sum, combinations(bits, size))
-    return Family(n, masks)
+    return Family(n, chain(*(map(sum, combinations(bits, s)) for s in range(lo, hi + 1))))
 
 
 def kt_construction(n: int) -> Family:
@@ -45,9 +42,8 @@ def kt_construction(n: int) -> Family:
     low, high = n // 2, (n + 1) // 2
     _check_size(f"kt_construction({n})", binomial(n - 1, low) + binomial(n - 1, high - 1))
     bits = [1 << i for i in range(1, n)]  # elements 2..n
-    masks = list(map(sum, combinations(bits, low)))
-    masks += [sum(combo, 1) for combo in combinations(bits, high - 1)]
-    return Family(n, masks)
+    tops = (sum(combo, 1) for combo in combinations(bits, high - 1))
+    return Family(n, chain(map(sum, combinations(bits, low)), tops))
 
 
 def diamond_r_for(m: int) -> int:

@@ -79,23 +79,25 @@ def _byte_texts(chunks: int) -> tuple[tuple[str, ...], ...]:
 class Family:
     """Deduplicated ordered collection of subsets of [n].
 
-    Keeps insertion order (first occurrence wins) and an index from
-    cardinality to the members of that cardinality.  Immutable after
-    construction.
+    Keeps insertion order (first occurrence wins), an index from cardinality
+    to the members of that cardinality, and ``member_set``, built on first
+    use.  Immutable after construction.
     """
 
-    __slots__ = ("n", "full_mask", "members", "member_set", "by_size")
+    __slots__ = ("n", "full_mask", "members", "_member_set", "by_size")
 
     def __init__(self, n: int, masks=()):
         self.full_mask = full = ground_mask(n)
         self.n = n
-        seen = dict.fromkeys(masks)
+        members = tuple(masks)
         # a mask in [0, full] has no bit outside [n]; only a failure scans
-        if seen and not (0 <= min(seen) and max(seen) <= full):
-            bad = next(m for m in seen if not 0 <= m <= full)
+        if members and not (0 <= min(members) and max(members) <= full):
+            bad = next(m for m in members if not 0 <= m <= full)
             raise ValueError(f"mask {bad} has bits outside the {n}-element ground set")
-        self.members: tuple[Mask, ...] = tuple(seen)
-        self.member_set = frozenset(self.members)
+        if len(frozenset(members)) < len(members):  # a dict only to drop repeats
+            members = tuple(dict.fromkeys(members))
+        self.members: tuple[Mask, ...] = members
+        self._member_set: frozenset[Mask] | None = None
         by_size: dict[int, list[Mask]] = {}
         for m in self.members:
             by_size.setdefault(m.bit_count(), []).append(m)
@@ -104,6 +106,12 @@ class Family:
     @classmethod
     def from_sets(cls, n: int, sets) -> "Family":
         return cls(n, (mask_of(s, n) for s in sets))
+
+    @property
+    def member_set(self) -> frozenset[Mask]:
+        if self._member_set is None:
+            self._member_set = frozenset(self.members)
+        return self._member_set
 
     def __len__(self) -> int:
         return len(self.members)
@@ -125,10 +133,6 @@ class Family:
     def __repr__(self) -> str:
         return f"Family(n={self.n}, size={len(self.members)})"
 
-    def restrict_sizes(self, lo, hi) -> "Family":
-        """Members whose cardinality s satisfies lo <= s <= hi (bounds may be rationals)."""
-        return Family(self.n, (m for m in self.members if lo <= m.bit_count() <= hi))
-
     def sets(self) -> list[tuple[int, ...]]:
         return [elems_of(m) for m in self.members]
 
@@ -144,7 +148,8 @@ class Family:
             ",".join(filter(None, map(getitem, texts, m.to_bytes(chunks, "little")))) or "-"
             for m in self.members
         ]
-        return "\n".join(lines) + "\n"
+        lines.append("")  # the last newline, joined in rather than appended to a copy
+        return "\n".join(lines)
 
     @classmethod
     def from_text(cls, text: str) -> "Family":
@@ -154,18 +159,18 @@ class Family:
         A line of canonical elements ("1".."n", no spaces or signs) is read
         by table lookup; any other line, and any line the lookup rejects,
         goes through int() and mask_of, which alone accept other spellings
-        and word the errors."""
-        lines = text.splitlines()
-        first = next((i for i, ln in enumerate(lines) if ln.strip()), None)
-        if first is None or not lines[first].startswith("n="):
+        and word the errors.  The lines are freed before the Family is built."""
+        lines = enumerate(text.splitlines(), start=1)
+        first, header = next(((i, ln) for i, ln in lines if ln.strip()), (0, ""))
+        if not header.startswith("n="):
             raise ValueError("family text must start with an 'n=<int>' line")
         try:
-            n = int(lines[first][2:])
+            n = int(header[2:])
         except ValueError:
-            raise ValueError(f"line {first + 1}: bad ground-set line {lines[first]!r}") from None
+            raise ValueError(f"line {first}: bad ground-set line {header!r}") from None
         bit_of = {str(e): 1 << (e - 1) for e in range(1, min(n, MAX_GROUND) + 1)}.__getitem__
         masks = []
-        for ln_no, ln in enumerate(lines[first + 1 :], start=first + 2):
+        for ln_no, ln in lines:
             try:
                 picked = list(map(bit_of, ln.split(",")))
             except KeyError:
@@ -214,8 +219,7 @@ class Family:
     @classmethod
     def loads(cls, text: str) -> "Family":
         """Parse either the line-based text format or the JSON object format."""
-        stripped = text.lstrip()
-        if stripped.startswith("{"):
+        if text.lstrip().startswith("{"):
             try:
                 return cls.from_json_obj(json.loads(text))
             except RecursionError:  # the decoder recurses once per bracket

@@ -61,7 +61,7 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import merge
-from itertools import islice
+from itertools import compress, islice
 from math import floor
 
 from .bounds import EXACT, BoundResult
@@ -243,11 +243,11 @@ class _Searcher:
         """Count a node at the current family, then include the first viable
         set of each orbit in turn, while the sets left could still beat the
         incumbent: its subtree keeps the rest of its own orbit and drops the
-        orbits handled before it."""
+        orbits handled before it.  Sets are keyed once, after the first child."""
         self.nodes += 1
         self.check_deadline()
         self.record_if_better()
-        key = self.orbit_key()
+        keys = None
         while viable:
             if len(self.members) + len(viable) <= self.best_size:
                 self.prunes += 1
@@ -256,8 +256,9 @@ class _Searcher:
             self.push(c)
             self.branch(self.child(c, viable))
             self.pop()
-            k = key(c)
-            viable = [d for d in islice(viable, 1, None) if key(d) != k]
+            keys = keys or list(map(self.orbit_key(), viable))  # a pruned node keys nothing
+            other = [k != keys[0] for k in keys]
+            viable, keys = list(compress(viable, other)), list(compress(keys, other))
 
     def run_root(self) -> str:
         """Search the whole tree and return the result status."""

@@ -205,6 +205,17 @@ class TestEstimateLubell:
         with pytest.raises(ValueError):
             estimate_lubell(Family(2, []), trials=0, seed=0)
 
+    def test_no_partial_level_never_builds_the_member_set(self, monkeypatch):
+        # ∅ is read from the size index, so a family of full levels, with
+        # and without ∅, returns early without a set of its members
+        def unread(family):
+            raise AssertionError("member_set read")
+
+        monkeypatch.setattr(Family, "member_set", property(unread))
+        for fam in (middle_levels(16, 4), Family(6, [0, *middle_levels(6, 2)])):
+            report = estimate_lubell(fam, trials=100, seed=1)
+            assert report.mean == float(lubell(fam))
+
     def test_negative_seed_rejected(self):
         # checked before the early return of a family with no partial level
         for family in (Family(2, []), kt_construction(6)):

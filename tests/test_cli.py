@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -137,6 +138,19 @@ class TestConstructCommand:
         out = re.sub(r', "wall_time": [^}]*', "", out)
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    def test_text_output_peak(self, capsys):
+        # middle(16, 4) printed as one string peaks below 7.5 MB; split
+        # into lines and printed one by one it peaked at 9.2 MB
+        tracemalloc.start()
+        try:
+            code = main(["construct", "middle", "--n", "16", "--r", "4"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert capsys.readouterr().out.count("\n") == 43759
+        assert peak < 7.5 * 2**20, peak
+
     def test_missing_required_param(self, capsys):
         code, _, _ = run_cli(capsys, "construct", "middle", "--n", "4")
         assert code == 2
@@ -200,6 +214,17 @@ class TestCheckCommand:
         code, out, _ = run_cli(capsys, "check", "--family", fam_path, "--config", str(cfg_path))
         assert code == 0
         assert json.loads(out)["avoiding"] is False
+
+    def test_config_file_with_a_byte_order_mark(self, capsys, tmp_path):
+        # read as without the UTF-8 BOM; the digest stays that of the file's bytes
+        fam_path = write_family(tmp_path, Family.from_sets(3, [[1], [1, 2]]))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_bytes(b"\xef\xbb\xbf" + serialize_config(build_named("chain", 2)).encode())
+        code, out, err = run_cli(capsys, "check", "--family", fam_path, "--config", str(cfg_path))
+        assert (code, err) == (0, "")
+        obj = json.loads(out)
+        assert obj["avoiding"] is False
+        assert obj["run"]["inputs"][1]["sha256"] == hashlib.sha256(cfg_path.read_bytes()).hexdigest()
 
     def test_induced_flag(self, capsys, tmp_path):
         path = write_family(tmp_path, Family.from_sets(2, [[1], [2]]))
@@ -437,6 +462,16 @@ class TestAuditCommand:
 
 
 class TestLubellCommand:
+    def test_family_file_with_a_byte_order_mark(self, capsys, tmp_path):
+        # read as without the UTF-8 BOM; the digest stays that of the file's bytes
+        path = tmp_path / "family.txt"
+        path.write_bytes(b"\xef\xbb\xbf" + kt_construction(4).to_text().encode())
+        code, out, err = run_cli(capsys, "lubell", "--family", str(path))
+        assert (code, err) == (0, "")
+        obj = json.loads(out)
+        assert (obj["value"], obj["size"]) == ("1", 6)
+        assert obj["run"]["inputs"][0]["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+
     def test_exact_value(self, capsys, tmp_path):
         path = write_family(tmp_path, Family.from_sets(3, [[1], [1, 2]]))
         code, out, _ = run_cli(capsys, "lubell", "--family", path)

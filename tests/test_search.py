@@ -474,6 +474,29 @@ class TestPairRoleSkip:
         assert (count, res.nodes_explored, res.prunes) == (calls, nodes, prunes)
 
     @pytest.mark.parametrize(
+        "config, n, keyed, nodes, prunes",
+        [
+            ("kt_pair", 5, 2178, 533, 523),  # 5,341 with every set keyed after each child
+            ("diamond(4)", 5, 2878, 187, 185),  # 3,231
+            ("butterfly_pair", 4, 692, 228, 216),  # 1,646
+            ("j_config", 4, 391, 124, 113),  # 998
+        ],
+    )
+    def test_orbit_keys_pinned(self, monkeypatch, config, n, keyed, nodes, prunes):
+        # a node keys each of its viable sets once, after its first child
+        # returns, and a node that prunes at once keys nothing
+        counted = []
+        orbit_key = _Searcher.orbit_key
+
+        def counting_orbit_key(self):
+            key = orbit_key(self)
+            return lambda m: counted.append(None) or key(m)
+
+        monkeypatch.setattr(_Searcher, "orbit_key", counting_orbit_key)
+        res = exact_max_family(SearchProblem(n, build_named(parse_config_id(config))))
+        assert (len(counted), res.nodes_explored, res.prunes) == (keyed, nodes, prunes)
+
+    @pytest.mark.parametrize(
         "config, n, entries",
         [
             ("kt_pair", 5, 9964),
