@@ -46,12 +46,13 @@ def kt_construction(n: int) -> Family:
     return Family(n, chain(map(sum, combinations(bits, low)), tops))
 
 
-def diamond_r_for(m: int) -> int:
-    """Largest r with C(r, floor(r/2)) < m."""
+def diamond_r_for(m: int, cap: int | None = None) -> int:
+    """Largest r with C(r, floor(r/2)) < m, or ``cap`` if smaller: the walk
+    stops there, so a huge m costs no more than a small one."""
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
     r = 1
-    while binomial(r + 1, (r + 1) // 2) < m:
+    while r != cap and binomial(r + 1, (r + 1) // 2) < m:
         r += 1
     return r
 
@@ -62,7 +63,7 @@ def diamond_levels(n: int, m: int) -> Family:
     Clamped to the full powerset when r exceeds n+1 (huge m, tiny n)."""
     if n < 1 or m < 2:
         raise ValueError("diamond_levels requires n >= 1 and m >= 2")
-    return middle_levels(n, min(diamond_r_for(m), n + 1))
+    return middle_levels(n, diamond_r_for(m, n + 1))
 
 
 def complement_family(family: Family) -> Family:

@@ -28,7 +28,9 @@ butterfly, keep only the candidates below at least k members of D, and when
 the element has t - 1 later twins, whose images all lie in its domain, each
 successor keeps only the positions above at least t members of it.  Every
 dropped candidate is one no embedding uses, so the embeddings still come in
-the same order: the same first violations, counts and search trees.
+the same order: the same first violations, counts and search trees.  The
+search asks for the same counts node after node, so the level counted onto
+keeps them beside its rows, in a memo emptied once it holds COVER_CACHE.
 
 Twins are elements with the same color, predecessors and successors; swapping
 two of them is a poset automorphism.  The generator yields only the
@@ -52,6 +54,7 @@ from .lattice import Mask, set_bits, transpose
 COUNT_FAMILY_GUARD = 4096
 COUNT_POSET_GUARD = 8
 SIZE_TUPLE_CACHE = 1024
+COVER_CACHE = 216  # covers a level holds; a full level drops them all
 
 _MODES = ("standard", "induced")
 
@@ -160,13 +163,14 @@ class _Level:
     """The members of one size, the bitset of those ``present`` in the
     family (every element's first domain), and the rows over them:
     ``rows[mask]`` is mask's row and ``slices`` the bit slices, None until
-    ``_row`` needs them.  The members never change, so neither do the rows."""
+    ``_row`` needs them; ``covers`` memoizes ``_cover``'s answers onto it.
+    The members never change, so neither rows nor covers go stale."""
 
-    __slots__ = ("members", "size", "present", "rows", "slices")
+    __slots__ = ("members", "size", "present", "rows", "slices", "covers")
 
     def __init__(self, members: tuple[Mask, ...], size: int, present: int):
         self.members, self.size, self.present = members, size, present
-        self.rows, self.slices = {}, None
+        self.rows, self.slices, self.covers = {}, None, {}
 
 
 def _levels(family) -> dict[int, _Level]:
@@ -276,20 +280,34 @@ def _cover(domain: int, level: _Level, target: _Level, k: int) -> int:
     """Bitset of the positions in ``target`` strictly above or below at
     least k members of ``domain`` (a bitset over ``level``).  ``counts[j]``
     holds the positions related to more than j members so far; adding a
-    member's row moves each position up one counter, saturating at k.  A
-    row the target already holds is read there, without a call."""
-    rows, members, counts = target.rows, level.members, [0] * k
-    while domain:
-        low = domain & -domain
-        domain ^= low
-        mask = members[low.bit_length() - 1]
-        row = rows.get(mask)
-        if row is None:
-            row = _row(target, mask)
-        for j in range(k - 1, 0, -1):
-            counts[j] |= counts[j - 1] & row
-        counts[0] |= row
-    return counts[-1]
+    member's row moves each position up one counter, saturating at k (for
+    k <= 2, ``once`` and ``twice``).  A row the target already holds is read
+    there, without a call.  The answer depends only on the domain, the
+    level's size and k, so the target memoizes it under them, emptying a
+    memo of COVER_CACHE covers first."""
+    key, covers = (domain, level.size, k), target.covers
+    cover = covers.get(key)
+    if cover is None:
+        rows, members, counts, once, twice = target.rows, level.members, [0] * k, 0, 0
+        while domain:
+            low = domain & -domain
+            domain ^= low
+            mask = members[low.bit_length() - 1]
+            row = rows.get(mask)
+            if row is None:
+                row = _row(target, mask)
+            if k > 2:
+                for j in range(k - 1, 0, -1):
+                    counts[j] |= counts[j - 1] & row
+                counts[0] |= row
+            else:
+                twice |= once & row
+                once |= row
+        cover = counts[-1] if k > 2 else twice if k == 2 else once
+        if len(covers) >= COVER_CACHE:
+            covers.clear()
+        covers[key] = cover
+    return cover
 
 
 def _assign(call: _Call, pos: int, domains):
@@ -341,12 +359,12 @@ def _assign(call: _Call, pos: int, domains):
                 return
             out[twin] = rest
         for f in succs:
-            out[f] &= _row(level[f], mask)
+            out[f] &= level[f].rows.get(mask) or _row(level[f], mask)
             if not out[f]:
                 break
         else:
             for f in incomparable:
-                out[f] &= ~_row(level[f], mask)
+                out[f] &= ~(level[f].rows.get(mask) or _row(level[f], mask))
                 if not out[f]:
                     break
             else:

@@ -200,7 +200,7 @@ class Family:
         return cls(n, masks)
 
     def to_json_obj(self) -> dict:
-        return {"n": self.n, "sets": [list(s) for s in self.sets()]}
+        return {"n": self.n, "sets": [list(elems_of(m)) for m in self.members]}
 
     @classmethod
     def from_json_obj(cls, obj) -> "Family":

@@ -84,6 +84,13 @@ class TestDiamondLevels:
         fam = diamond_levels(2, 100)
         assert len(fam) == 4
 
+    def test_huge_m_stops_the_walk_at_the_powerset(self):
+        # the walk for r stops at n + 1; walked to its end, an m past
+        # C(10^4, 5000) reaches binomial's guard on an n nobody passed
+        m = 10**3100
+        assert diamond_levels(3, m) == Family(3, range(8))
+        assert diamond_r_for(m, 4) == 4
+
     def test_range_errors(self):
         with pytest.raises(ValueError):
             diamond_levels(4, 1)

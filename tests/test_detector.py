@@ -712,3 +712,45 @@ class TestRowCache:
             assert is_avoiding(family, butterfly)
         assert sorted(built) == [5, 6]
         assert len(computed) == len(set(computed)) == 1716
+
+
+@st.composite
+def cover_cases(draw):
+    """Two levels of a family over [n], of two different sizes, each any
+    nonempty share of its sets in any order, domains over the first and a
+    count k."""
+    n = draw(st.integers(1, 7))
+    sizes = draw(st.lists(st.integers(0, n), min_size=2, max_size=2, unique=True))
+    levels = [[m for m in range(1 << n) if m.bit_count() == s] for s in sizes]
+    source, target = (draw(st.lists(st.sampled_from(sets), min_size=1, unique=True)) for sets in levels)
+    domains = draw(st.lists(st.integers(0, (1 << len(source)) - 1), min_size=1, max_size=5))
+    return source, target, domains, draw(st.integers(1, 4))
+
+
+def related_to_at_least(domain, source, target, k) -> int:
+    """The positions of target's members strictly above or below at least
+    k of the source members that the domain holds, by subset tests."""
+    picked = [m for j, m in enumerate(source) if domain >> j & 1]
+    cover = 0
+    for i, t in enumerate(target):
+        related = sum(m != t and m & t in (m, t) for m in picked)
+        cover |= (related >= k) << i
+    return cover
+
+
+class TestCoverMemo:
+    @ORACLE
+    @given(cover_cases())
+    @example(([0b001, 0b010], [0b011], [0b11, 0b01, 0b10], 2))  # a full memo of two is emptied
+    def test_cover_counts_related_members(self, case):
+        # each domain's first call computes its cover and the next reads the
+        # memo; with a cap of two, a third cover empties the memo first
+        source, target, domains, k = case
+        low, high = (detector._Level(tuple(m), m[0].bit_count(), 0) for m in (source, target))
+        with patch.object(detector, "COVER_CACHE", 2):
+            for domain in domains:
+                want = related_to_at_least(domain, source, target, k)
+                assert detector._cover(domain, low, high, k) == want
+                assert high.covers[(domain, low.size, k)] == want
+                assert detector._cover(domain, low, high, k) == want
+                assert len(high.covers) <= 2

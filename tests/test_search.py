@@ -722,6 +722,22 @@ class TestSearchRowCache:
         exact_max_family(SearchProblem(n, build_named(parse_config_id(config))))
         assert len(built) == builds
 
+    def test_cover_memos_stay_within_the_cap(self, monkeypatch):
+        # the search's levels live for the whole run; in 2 s of kt_pair at
+        # n = 6 an uncapped memo of one level outgrows the cap
+        levels = []
+        level = search._Level
+
+        def recording(*args):
+            levels.append(level(*args))
+            return levels[-1]
+
+        monkeypatch.setattr(search, "_Level", recording)
+        res = exact_max_family(SearchProblem(6, build_named("kt_pair"), time_limit=2))
+        assert res.status == LOWER_BOUND_ONLY
+        assert any(lv.covers for lv in levels)
+        assert max(len(lv.covers) for lv in levels) <= detector.COVER_CACHE
+
 
 class TestBranchMemory:
     def test_one_candidate_list_per_depth(self):
