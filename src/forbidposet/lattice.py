@@ -15,12 +15,15 @@ import json
 import math
 from fractions import Fraction
 from functools import cache
+from itertools import chain
 from operator import getitem
 
 Mask = int
 
 MAX_GROUND = 64
 MAX_BINOMIAL_N = 10 ** 4
+TEXT_PIECE = 1 << 16  # characters from_text splits into lines at a time
+TEXT_BLOCK = 4096  # lines to_text joins at a time
 
 
 def ground_mask(n: int) -> Mask:
@@ -76,6 +79,16 @@ def _byte_texts(chunks: int) -> tuple[tuple[str, ...], ...]:
     )
 
 
+def _pieces(text: str):
+    """``text`` in pieces of TEXT_PIECE or more characters, each cut just past
+    a newline: splitting the pieces gives the lines of text.splitlines()."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + TEXT_PIECE - 1) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
 class Family:
     """Deduplicated ordered collection of subsets of [n].
 
@@ -94,13 +107,15 @@ class Family:
         if members and not (0 <= min(members) and max(members) <= full):
             bad = next(m for m in members if not 0 <= m <= full)
             raise ValueError(f"mask {bad} has bits outside the {n}-element ground set")
-        if len(frozenset(members)) < len(members):  # a dict only to drop repeats
+        by_size: dict[int, list[Mask]] = {}
+        for m in members:
+            by_size.setdefault(m.bit_count(), []).append(m)
+        # a repeat lands on its own level, so sets of one level find it; dicts drop it
+        if any(len(frozenset(level)) < len(level) for level in by_size.values()):
             members = tuple(dict.fromkeys(members))
+            by_size = {s: list(dict.fromkeys(level)) for s, level in by_size.items()}
         self.members: tuple[Mask, ...] = members
         self._member_set: frozenset[Mask] | None = None
-        by_size: dict[int, list[Mask]] = {}
-        for m in self.members:
-            by_size.setdefault(m.bit_count(), []).append(m)
         self.by_size: dict[int, tuple[Mask, ...]] = {s: tuple(v) for s, v in by_size.items()}
 
     @classmethod
@@ -143,13 +158,15 @@ class Family:
         joined, which is set_text(elems_of(member))."""
         chunks = (self.n + 7) // 8
         texts = _byte_texts(chunks)
-        lines = [f"n={self.n}"]
-        lines += [
-            ",".join(filter(None, map(getitem, texts, m.to_bytes(chunks, "little")))) or "-"
-            for m in self.members
-        ]
-        lines.append("")  # the last newline, joined in rather than appended to a copy
-        return "\n".join(lines)
+        blocks = (
+            "\n".join([
+                ",".join(filter(None, map(getitem, texts, m.to_bytes(chunks, "little")))) or "-"
+                for m in self.members[at : at + TEXT_BLOCK]
+            ])
+            for at in range(0, len(self.members), TEXT_BLOCK)
+        )
+        # the last newline is joined in rather than appended to a copy
+        return "\n".join([f"n={self.n}", *blocks, ""])
 
     @classmethod
     def from_text(cls, text: str) -> "Family":
@@ -159,8 +176,8 @@ class Family:
         A line of canonical elements ("1".."n", no spaces or signs) is read
         by table lookup; any other line, and any line the lookup rejects,
         goes through int() and mask_of, which alone accept other spellings
-        and word the errors.  The lines are freed before the Family is built."""
-        lines = enumerate(text.splitlines(), start=1)
+        and word the errors.  Lines are split a piece at a time; masks stream into the Family."""
+        lines = enumerate(chain.from_iterable(map(str.splitlines, _pieces(text))), start=1)
         first, header = next(((i, ln) for i, ln in lines if ln.strip()), (0, ""))
         if not header.startswith("n="):
             raise ValueError("family text must start with an 'n=<int>' line")
@@ -168,36 +185,43 @@ class Family:
             n = int(header[2:])
         except ValueError:
             raise ValueError(f"line {first}: bad ground-set line {header!r}") from None
-        bit_of = {str(e): 1 << (e - 1) for e in range(1, min(n, MAX_GROUND) + 1)}.__getitem__
-        masks = []
-        for ln_no, ln in lines:
-            try:
-                picked = list(map(bit_of, ln.split(",")))
-            except KeyError:
-                pass
-            else:
-                # distinct bits in ascending order: strictly ascending elements
-                mask = sum(picked)
-                if mask.bit_count() == len(picked) and picked == sorted(picked):
-                    masks.append(mask)
+        try:
+            ground_mask(n)
+        except ValueError as exc:
+            raise ValueError(f"line {first}: {exc}") from None
+        bit_of = {str(e): 1 << (e - 1) for e in range(1, n + 1)}.__getitem__
+
+        def masks():
+            for ln_no, ln in lines:
+                try:
+                    picked = list(map(bit_of, ln.split(",")))
+                except KeyError:
+                    pass
+                else:
+                    # distinct bits in ascending order: strictly ascending elements
+                    mask = sum(picked)
+                    if mask.bit_count() == len(picked) and picked == sorted(picked):
+                        yield mask
+                        continue
+                ln = ln.strip()
+                if not ln:
                     continue
-            ln = ln.strip()
-            if not ln:
-                continue
-            if ln == "-":
-                masks.append(0)
-                continue
-            try:
-                elems = [int(tok) for tok in ln.split(",")]
-            except ValueError:
-                raise ValueError(f"line {ln_no}: bad subset {ln!r}") from None
-            if elems != sorted(elems) or len(set(elems)) != len(elems):
-                raise ValueError(f"line {ln_no}: elements must be strictly ascending")
-            try:
-                masks.append(mask_of(elems, n))
-            except ValueError as exc:
-                raise ValueError(f"line {ln_no}: {exc}") from None
-        return cls(n, masks)
+                if ln == "-":
+                    yield 0
+                    continue
+                try:
+                    elems = [int(tok) for tok in ln.split(",")]
+                except ValueError:
+                    raise ValueError(f"line {ln_no}: bad subset {ln!r}") from None
+                if elems != sorted(elems) or len(set(elems)) != len(elems):
+                    raise ValueError(f"line {ln_no}: elements must be strictly ascending")
+                try:
+                    mask = mask_of(elems, n)
+                except ValueError as exc:
+                    raise ValueError(f"line {ln_no}: {exc}") from None
+                yield mask
+
+        return cls(n, masks())
 
     def to_json_obj(self) -> dict:
         return {"n": self.n, "sets": [list(elems_of(m)) for m in self.members]}

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from forbidposet import (
     Family,
+    lattice,
     binomial,
     chains_through,
     lub_bound,
@@ -231,8 +232,9 @@ class TestFamily:
             ground_mask(65)
 
     def test_dedup_keeps_first_occurrence(self):
-        fam = Family(3, [0b011, 0b001, 0b011])
-        assert fam.members == (0b011, 0b001)
+        fam = Family(3, [0b011, 0b001, 0b011, 0b101, 0b001])
+        assert fam.members == (0b011, 0b001, 0b101)
+        assert fam.by_size == {2: (0b011, 0b101), 1: (0b001,)}
 
     def test_mask_bits_validated(self):
         with pytest.raises(ValueError):
@@ -291,10 +293,15 @@ class TestFamily:
             ("n=64\n1,65\n", "line 2: element 65 outside [1, 64]"),
             ("n=3\n1,2,\n", "line 2: bad subset '1,2,'"),
             ("n=3\n1,1\n", "line 2: elements must be strictly ascending"),
+            ("n=0\n1\n", "line 1: ground set size must be in [1, 64], got 0"),
+            ("n=-2\n1\n", "line 1: ground set size must be in [1, 64], got -2"),
+            ("n=65\n1\n1,x\n", "line 1: ground set size must be in [1, 64], got 65"),
+            ("\n \nn=0\n", "line 3: ground set size must be in [1, 64], got 0"),
         ],
         ids=[
             "unsorted", "out_of_range", "bad_subset", "bad_ground_set",
             "element_zero", "element_n_plus_1_at_64", "trailing_comma", "duplicate",
+            "n_zero", "n_negative", "n_65_before_any_set", "n_zero_no_sets",
         ],
     )
     def test_text_errors_name_the_line_blank_lines_counted(self, text, message):
@@ -328,10 +335,12 @@ class TestFamily:
 
 
 class TestFamilyMemory:
+    # middle(16, 4), 43,758 sets, 814,247 characters of text
     def test_load_holds_the_members_once(self):
-        # middle(16, 4), 43,758 sets: the load peaked at 10.8 MB and held
-        # 4.2 MB while a dedupe dict and a resident frozenset sat beside the
-        # tuple, and the lines stayed alive while the Family was built
+        # the load peaked at 10.8 MB and held 4.2 MB while a dedupe dict and
+        # a resident frozenset sat beside the tuple, and at 4.8 MB while it
+        # split the whole text into lines and listed every mask; it peaks
+        # under 3 MB splitting one piece at a time and streaming the masks
         text = middle_levels(16, 4).to_text()
         tracemalloc.start()
         try:
@@ -340,8 +349,34 @@ class TestFamilyMemory:
         finally:
             tracemalloc.stop()
         assert len(fam) == 43758
-        assert peak < 7 * 2**20, peak
+        assert peak < 3.5 * 2**20, peak
         assert held < 3 * 2**20, held
+
+    def test_write_joins_blocks_of_lines(self):
+        # a list of every line peaked at 3.9 MB; joined a block at a time,
+        # the peak is about the blocks and the text they join into
+        fam = middle_levels(16, 4)
+        tracemalloc.start()
+        try:
+            text = fam.to_text()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, peak
+        assert text == old_to_text(fam)
+
+    def test_build_checks_repeats_one_level_at_a_time(self):
+        # a frozenset of every member peaked at 2.8 MB; the largest level's
+        # set is a quarter of it
+        masks = list(middle_levels(16, 4).members)
+        tracemalloc.start()
+        try:
+            fam = Family(16, masks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * 2**20, peak
+        assert fam.members == tuple(masks)
 
     def test_json_object_builds_each_list_once(self):
         # middle(14, 4), 11,440 sets: the JSON object peaked at 2.55 MB,
@@ -383,3 +418,93 @@ class TestTextRoundTrip:
         text = family.to_text()
         assert text == old_to_text(family)
         assert Family.from_text(text).members == family.members
+
+
+def old_from_text(text):
+    """The reader before pieces, less its table lookup for canonical lines:
+    one text.splitlines() over the whole text, every line through int() and
+    mask_of; oracle for Family.from_text's lines, line numbers and errors."""
+    lines = enumerate(text.splitlines(), start=1)
+    first, header = next(((i, ln) for i, ln in lines if ln.strip()), (0, ""))
+    if not header.startswith("n="):
+        raise ValueError("family text must start with an 'n=<int>' line")
+    try:
+        n = int(header[2:])
+    except ValueError:
+        raise ValueError(f"line {first}: bad ground-set line {header!r}") from None
+    masks = []
+    for ln_no, ln in lines:
+        ln = ln.strip()
+        if not ln:
+            continue
+        if ln == "-":
+            masks.append(0)
+            continue
+        try:
+            elems = [int(tok) for tok in ln.split(",")]
+        except ValueError:
+            raise ValueError(f"line {ln_no}: bad subset {ln!r}") from None
+        if elems != sorted(elems) or len(set(elems)) != len(elems):
+            raise ValueError(f"line {ln_no}: elements must be strictly ascending")
+        try:
+            masks.append(mask_of(elems, n))
+        except ValueError as exc:
+            raise ValueError(f"line {ln_no}: {exc}") from None
+    return Family(n, masks)
+
+
+def read_family(parse, text):
+    """The members ``parse`` reads from ``text``, or its error message."""
+    try:
+        return parse(text).members
+    except ValueError as exc:
+        return str(exc)
+
+
+# line separators that splitlines() knows beside "\n"; only "\n" ends a piece
+SEPARATORS = ["\n", "\r\n", "\r", "\x0c", "\x85", "\u2028"]
+
+PIECE_TEXTS = {
+    "crlf_blank_and_empty_set": "n=5\r\n" + "1,2\r\n\r\n-\r\n3,4,5\r\n \r\n2\r\n" * 3,
+    "separators": "n=5\n" + "1\x0c2\x853\u20284,5\n\x0c\n-\r4\n\u2028\n2,3\x85\n" * 3 + "1,5",
+    "spellings": "\n \nn=6\n 1 , 2 \n01\n+3\r\n2,+6\n-\n  -\n1,2\n06\n",
+    "bad_line_after_first_piece": "n=4\r\n" + "1,2\n3\x0c-\n" * 12 + "2,1\n1\n",
+    "bad_element_after_separators": "n=3\n" + "1\x85\u2028\n2,3\r\n-\x0c\n" * 5 + "1,4\n",
+}
+
+
+class TestTextPieces:
+    @pytest.mark.parametrize("piece", [1, 2, 5, 16])
+    @pytest.mark.parametrize("text", PIECE_TEXTS.values(), ids=PIECE_TEXTS.keys())
+    def test_pieces_read_as_the_whole_text(self, monkeypatch, text, piece):
+        monkeypatch.setattr(lattice, "TEXT_PIECE", piece)
+        pieces = list(lattice._pieces(text))
+        assert "".join(pieces) == text and len(pieces) > 2
+        assert all(p.endswith("\n") for p in pieces[:-1])
+        assert read_family(Family.from_text, text) == read_family(old_from_text, text)
+
+    def test_errors_after_the_first_piece_name_their_line(self, monkeypatch):
+        monkeypatch.setattr(lattice, "TEXT_PIECE", 4)
+        # the header, then 3 lines per repeat: "\x0c" ends one inside a piece
+        text = PIECE_TEXTS["bad_line_after_first_piece"]
+        assert read_family(Family.from_text, text) == "line 38: elements must be strictly ascending"
+        # the header, then 6 lines per repeat, 4 of them blank or "-"
+        text = PIECE_TEXTS["bad_element_after_separators"]
+        assert read_family(Family.from_text, text) == "line 32: element 4 outside [1, 3]"
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(
+        st.integers(1, 12),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["1", "2,3", "-", "", " ", "1,3", " 3 ", "02", "3,1", "x"]),
+                st.sampled_from(SEPARATORS),
+            ),
+            max_size=30,
+        ),
+    )
+    def test_any_separators_read_as_the_whole_text(self, piece, lines):
+        text = "n=3\n" + "".join(line + sep for line, sep in lines)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lattice, "TEXT_PIECE", piece)
+            assert read_family(Family.from_text, text) == read_family(old_from_text, text)
